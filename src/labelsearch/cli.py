@@ -11,8 +11,8 @@ defaults.  Result JSON files echo the fully resolved parameters under
 outputs are written atomically (temp file, then rename).
 
 Exit codes: 0 success, 2 argument errors (with usage), 1 runtime
-refusals (for example a pool over the exhaustive cap), with the
-refusing module's message on stderr.
+refusals and failures (for example a pool over the exhaustive cap, a
+failed sweep worker, or Ctrl-C), with a message on stderr.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import costmodel
-from .core import load_task, task_to_json
+from .core import _write_atomic, load_task, task_to_json
 from .harness import (
     TaskSpec,
     conventional_pipeline,
@@ -43,20 +42,8 @@ from .search import (
 
 _SEARCH_MODES = {"exhaustive": None, "random": "random", "greedy": "greedy-flip", "anneal": "anneal"}
 
-_DEFAULT_WORKERS = os.cpu_count() or 1
-
-
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+#: Cores this process may run on, so the default never oversubscribes.
+_DEFAULT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -388,8 +375,11 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.handler(parser, ns)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

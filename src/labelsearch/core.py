@@ -11,11 +11,14 @@ trained on (pool, labeling) achieves on the trusted set.
 
 Task files are JSON documents; :func:`save_task` and :func:`load_task`
 fix the schema (field names are part of the on-disk contract).
+:func:`save_task` and the CLI's outputs are written atomically.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -292,9 +295,23 @@ def task_to_json(task: Task) -> str:
     return json.dumps(task_to_dict(task), indent=2) + "\n"
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write text to a temp file beside ``path``, then rename it over
+    ``path``: a failed write leaves any existing file unchanged."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_task(task: Task, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(task_to_json(task))
+    _write_atomic(path, task_to_json(task))
 
 
 def load_task(path) -> Task:

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import multiprocessing
+import signal
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,13 +99,31 @@ def gray_sequence(n: int):
         yield flip, Labeling(word, n)
 
 
+#: Flipped bit of steps 1..4095 of a reflected-Gray sweep (the number of
+#: trailing zeros of the step).  Wider sweeps repeat it between flips of
+#: their higher bits, so the table stays 4 KiB for any width.
+_RULER_BITS = 12
+_RULER = bytes((s & -s).bit_length() - 1 for s in range(1, 1 << _RULER_BITS))
+
+
+def _gray_flip_blocks(bits: int):
+    """Yield the flip indices of a ``bits``-wide reflected-Gray sweep in
+    bytes blocks; joined, they are :meth:`GrayCursor.advance`'s flips."""
+    inner = min(bits, _RULER_BITS)
+    yield _RULER[: (1 << inner) - 1]
+    for block in range(1, 1 << (bits - inner)):
+        yield bytes(((block & -block).bit_length() - 1 + _RULER_BITS,)) + _RULER
+
+
 # --- incremental evaluators -------------------------------------------------
+#
+# An evaluator holds one labeling word and the learner state fitted to
+# it.  ``reset(word)`` refits and returns the error count, ``flip(i)``
+# toggles bit i and updates the state without scoring, and ``errors()``
+# scores the current state.  Walks that undo a rejected flip call
+# ``flip`` twice and score once.
 
-def _unpack_word(word: int, n: int) -> np.ndarray:
-    return np.array([(word >> i) & 1 for i in range(n)], dtype=np.int8)
-
-
-class _CentroidSweep:
+class _CentroidEvaluator:
     """Centroid learner driven by single-bit flips.
 
     Predictions are produced by the same helper as the public learner,
@@ -115,62 +135,71 @@ class _CentroidSweep:
         self.pool_x = pool_x
         self.ax = ax
         self.ay = ay
+        self.word = 0
         self.sums = None
-        self.n0 = self.n1 = 0
+        self.counts = [0, 0]
 
-    def reset(self, labels: np.ndarray) -> None:
-        self.sums, (self.n0, self.n1) = class_sums_and_counts(self.pool_x, labels)
+    def reset(self, word: int) -> int:
+        self.word = word
+        labels = Labeling(word, self.pool_x.shape[0]).labels()
+        self.sums, counts = class_sums_and_counts(self.pool_x, labels)
+        self.counts = list(counts)
+        return self.errors()
 
-    def flip(self, i: int, new_label: int) -> None:
+    def flip(self, i: int) -> None:
+        old = (self.word >> i) & 1
         x_i = self.pool_x[i]
-        self.sums[1 - new_label] -= x_i
-        self.sums[new_label] += x_i
-        if new_label == 1:
-            self.n0 -= 1
-            self.n1 += 1
-        else:
-            self.n0 += 1
-            self.n1 -= 1
+        self.sums[old] -= x_i
+        self.sums[1 - old] += x_i
+        self.counts[old] -= 1
+        self.counts[1 - old] += 1
+        self.word ^= 1 << i
 
-    def error_count(self) -> int:
-        pred = centroid_predictions(self.sums, (self.n0, self.n1), self.ax)
+    def errors(self) -> int:
+        pred = centroid_predictions(self.sums, self.counts, self.ax)
         return int(np.count_nonzero(pred != self.ay))
 
 
-class _OneNNSweep:
+class _OneNNEvaluator:
     """One-nearest-neighbor learner driven by single-bit flips.
 
     The trusted-to-pool nearest index is precomputed once; flipping pool
     item i only moves the predictions of trusted points mapped to i, so
-    the error count updates in O(1) from per-item label tallies.
+    the error count updates in O(1) from per-item class tallies.  The
+    tallies are Python ints: numpy scalars would cost more per flip
+    than the update itself.
     """
 
     def __init__(self, pool_x, ax, ay):
-        self.ay = ay
-        self.nn = nearest_pool_index(pool_x, ax)
+        nn = nearest_pool_index(pool_x, ax)
         n = pool_x.shape[0]
-        self.mapped_y0 = np.zeros(n, dtype=np.int64)
-        self.mapped_y1 = np.zeros(n, dtype=np.int64)
-        np.add.at(self.mapped_y0, self.nn[ay == 0], 1)
-        np.add.at(self.mapped_y1, self.nn[ay == 1], 1)
-        self.errors = 0
+        self._y0 = np.bincount(nn[ay == 0], minlength=n).tolist()
+        self._y1 = np.bincount(nn[ay == 1], minlength=n).tolist()
+        self.word = 0
+        self._errors = 0
+        self._delta: list[int] = []
 
-    def reset(self, labels: np.ndarray) -> None:
-        pred = labels[self.nn]
-        self.errors = int(np.count_nonzero(pred != self.ay))
+    def reset(self, word: int) -> int:
+        self.word = word
+        bits = [(word >> i) & 1 for i in range(len(self._y0))]
+        tallies = list(zip(bits, self._y0, self._y1))
+        self._errors = sum(y0 if bit else y1 for bit, y0, y1 in tallies)
+        # errors added by flipping item i away from its current label
+        self._delta = [y1 - y0 if bit else y0 - y1 for bit, y0, y1 in tallies]
+        return self._errors
 
-    def flip(self, i: int, new_label: int) -> None:
-        if new_label == 1:
-            self.errors += int(self.mapped_y0[i] - self.mapped_y1[i])
-        else:
-            self.errors += int(self.mapped_y1[i] - self.mapped_y0[i])
+    def flip(self, i: int) -> None:
+        delta = self._delta[i]
+        self._errors += delta
+        self._delta[i] = -delta
+        self.word ^= 1 << i
 
-    def error_count(self) -> int:
-        return self.errors
+    def errors(self) -> int:
+        return self._errors
 
 
-def _make_sweep(kind: str, pool_x, ax, ay):
-    return _CentroidSweep(pool_x, ax, ay) if kind == CENTROID else _OneNNSweep(pool_x, ax, ay)
+def _make_evaluator(kind: str, pool_x, ax, ay):
+    return _CentroidEvaluator(pool_x, ax, ay) if kind == CENTROID else _OneNNEvaluator(pool_x, ax, ay)
 
 
 # --- optimum tracking -------------------------------------------------------
@@ -236,31 +265,93 @@ class _DedupeTracker:
 
 # --- exhaustive search ------------------------------------------------------
 
+def _sweep_subcube(evaluator, prefix_word: int, low_bits: int) -> _SmallestTracker:
+    """Walk the words that share ``prefix_word``'s high bits in Gray order.
+
+    Only candidates that tie or beat the best so far reach the tracker;
+    the others could not change it.
+    """
+    tracker = _SmallestTracker(ARGMIN_CAP)
+    best = evaluator.reset(prefix_word)
+    tracker.offer(prefix_word, best)
+    flip, errors, offer = evaluator.flip, evaluator.errors, tracker.offer
+    for block in _gray_flip_blocks(low_bits):
+        for i in block:
+            flip(i)
+            err = errors()
+            if err <= best:
+                offer(evaluator.word, err)
+                best = err
+    return tracker
+
+
 def _run_sweep_jobs(payload):
-    """Sweep a batch of subcubes; runs in-process or in a worker process.
+    """Sweep a batch of subcubes; runs in this process or in a worker.
 
     Each job fixes the top bits of the word (the subcube prefix) and
     walks the remaining low bits in Gray order from a freshly fitted
     state.  Returns per-job (prefix, best errors, capped sorted optimum
     words, exact optimum count, evaluations, busy seconds).
     """
-    pool_x, ax, ay, kind, n, jobs = payload
+    pool_x, ax, ay, kind, jobs = payload
+    evaluator = _make_evaluator(kind, pool_x, ax, ay)
     results = []
     for prefix_word, low_bits in jobs:
         start = time.perf_counter()
-        sweep = _make_sweep(kind, pool_x, ax, ay)
-        sweep.reset(_unpack_word(prefix_word, n))
-        tracker = _SmallestTracker(ARGMIN_CAP)
-        tracker.offer(prefix_word, sweep.error_count())
-        word = prefix_word
-        for step in range(1, 1 << low_bits):
-            i = (step & -step).bit_length() - 1
-            word ^= 1 << i
-            sweep.flip(i, (word >> i) & 1)
-            tracker.offer(word, sweep.error_count())
+        tracker = _sweep_subcube(evaluator, prefix_word, low_bits)
         busy = time.perf_counter() - start
         results.append((prefix_word, tracker.best, tracker.sorted_words(), tracker.count, 1 << low_bits, busy))
     return results
+
+
+def _sweep_child(conn, payload) -> None:
+    """Body of a forked sweep worker: send ("ok", results) or
+    ("error", message) to the parent; a failure exits with code 1."""
+    # Ctrl-C reaches the whole process group; the parent stops the children.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        results = _run_sweep_jobs(payload)
+    except Exception as exc:
+        conn.send(("error", f"{type(exc).__name__}: {exc}"))
+        raise SystemExit(1)
+    conn.send(("ok", results))
+
+
+def _run_forked(base: tuple, shares: list) -> list:
+    """Sweep ``shares[0]`` here and every other share in a forked child.
+
+    Children inherit the task arrays instead of unpickling them.  A
+    child that raises or dies makes this raise ``RuntimeError`` naming
+    the worker and its exit code; on any exit, Ctrl-C included, every
+    child is stopped and joined.
+    """
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for worker, share in enumerate(shares[1:], start=1):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_sweep_child, args=(sender, base + (share,)),
+                                    name=f"labelsearch-sweep-{worker}")
+            child.start()
+            sender.close()
+            children.append((worker, child, receiver))
+        results = _run_sweep_jobs(base + (shares[0],))
+        for worker, child, receiver in children:
+            try:
+                status, value = receiver.recv()
+            except EOFError:
+                status, value = "error", "died without a result"
+            child.join()
+            if status != "ok":
+                raise RuntimeError(f"sweep worker {worker} failed with exit code {child.exitcode}: {value}")
+            results.extend(value)
+        return results
+    finally:
+        for _, child, receiver in children:
+            if child.exitcode is None:
+                child.terminate()
+            child.join()
+            receiver.close()
 
 
 def _check_exhaustive_cap(n: int, cap: int) -> None:
@@ -286,9 +377,12 @@ def exhaustive_search(
 
     The outcome (best error, optimum set, evaluation count) is
     deterministic and identical for any worker count; only the wall
-    clock changes.  ``executor`` lets callers reuse one process pool
-    across many searches; otherwise a pool is created per call when
-    ``workers`` > 1.
+    clock changes.  With ``workers`` > 1 the top bits of the word split
+    the sweep into subcubes dealt round-robin to ``workers`` shares.
+    ``executor`` lets callers reuse one process pool across many
+    searches; without one, this process sweeps the first share and
+    forks one child per other share (POSIX ``fork`` start method).  A
+    failed or killed child raises ``RuntimeError``.
     """
     _check_kind(learner_kind)
     n = task.n
@@ -300,22 +394,15 @@ def exhaustive_search(
     jobs = [(p << low_bits, low_bits) for p in range(1 << prefix_bits)]
 
     started = time.perf_counter()
-    base = (task.pool.x, task.trusted.x, task.trusted.y, learner_kind, n)
+    base = (task.pool.x, task.trusted.x, task.trusted.y, learner_kind)
+    shares = [jobs[w::workers] for w in range(workers) if jobs[w::workers]]
     if workers == 1:
         results = _run_sweep_jobs(base + (jobs,))
+    elif executor is not None:
+        futures = [executor.submit(_run_sweep_jobs, base + (share,)) for share in shares]
+        results = [item for fut in futures for item in fut.result()]
     else:
-        own_pool = executor is None
-        pool = executor if executor is not None else ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = [
-                pool.submit(_run_sweep_jobs, base + (jobs[w::workers],))
-                for w in range(workers)
-                if jobs[w::workers]
-            ]
-            results = [item for fut in futures for item in fut.result()]
-        finally:
-            if own_pool:
-                pool.shutdown()
+        results = _run_forked(base, shares)
     elapsed = time.perf_counter() - started
 
     # Subcube prefixes cover disjoint consecutive word ranges, so a
@@ -434,7 +521,7 @@ class HeuristicConfig:
             raise ValueError("temperature decay must lie strictly between 0 and 1")
 
 
-def _greedy_walk(sweep, n, config, tracker, rng) -> int:
+def _greedy_walk(evaluator, n, config, tracker, rng) -> int:
     """First-improvement greedy: scan flips in index order, take the first
     strictly improving one; restart from a random word at local optima.
     The first start is the all-zeros word."""
@@ -442,8 +529,7 @@ def _greedy_walk(sweep, n, config, tracker, rng) -> int:
     starts = 0
     while evals < config.budget and starts < config.restarts:
         word = 0 if starts == 0 else int(rng.integers(0, 1 << n, dtype=np.uint64))
-        sweep.reset(_unpack_word(word, n))
-        err = sweep.error_count()
+        err = evaluator.reset(word)
         evals += 1
         tracker.offer(word, err)
         while evals < config.budget:
@@ -451,24 +537,23 @@ def _greedy_walk(sweep, n, config, tracker, rng) -> int:
             for i in range(n):
                 if evals >= config.budget:
                     break
-                bit = (word >> i) & 1
-                sweep.flip(i, 1 - bit)
+                evaluator.flip(i)
                 candidate = word ^ (1 << i)
-                cand_err = sweep.error_count()
+                cand_err = evaluator.errors()
                 evals += 1
                 tracker.offer(candidate, cand_err)
                 if cand_err < err:
                     word, err = candidate, cand_err
                     improved = True
                     break
-                sweep.flip(i, bit)
+                evaluator.flip(i)
             if not improved:
                 break
         starts += 1
     return evals
 
 
-def _anneal_walk(sweep, n, config, tracker, rng) -> int:
+def _anneal_walk(evaluator, n, config, tracker, rng) -> int:
     """Single-flip annealing; a worse move costing ``delta`` extra errors
     is accepted with probability exp(-delta / T)."""
     evals = 0
@@ -476,18 +561,16 @@ def _anneal_walk(sweep, n, config, tracker, rng) -> int:
     per_restart = max(1, config.budget // config.restarts)
     while evals < config.budget and starts < config.restarts:
         word = int(rng.integers(0, 1 << n, dtype=np.uint64))
-        sweep.reset(_unpack_word(word, n))
-        err = sweep.error_count()
+        err = evaluator.reset(word)
         evals += 1
         tracker.offer(word, err)
         temperature = config.initial_temp
         steps = 1
         while steps < per_restart and evals < config.budget:
             i = int(rng.integers(0, n))
-            bit = (word >> i) & 1
-            sweep.flip(i, 1 - bit)
+            evaluator.flip(i)
             candidate = word ^ (1 << i)
-            cand_err = sweep.error_count()
+            cand_err = evaluator.errors()
             evals += 1
             steps += 1
             tracker.offer(candidate, cand_err)
@@ -495,7 +578,7 @@ def _anneal_walk(sweep, n, config, tracker, rng) -> int:
             if delta <= 0 or (temperature > 0.0 and rng.random() < math.exp(-delta / temperature)):
                 word, err = candidate, cand_err
             else:
-                sweep.flip(i, bit)
+                evaluator.flip(i)
             temperature *= config.decay
         starts += 1
     return evals
@@ -523,12 +606,12 @@ def heuristic_search(task: Task, learner_kind: str, config: HeuristicConfig) -> 
         listed = [int(w) for w in best_words[:ARGMIN_CAP]]
         evals = config.budget
     else:
-        sweep = _make_sweep(learner_kind, task.pool.x, task.trusted.x, task.trusted.y)
+        evaluator = _make_evaluator(learner_kind, task.pool.x, task.trusted.x, task.trusted.y)
         tracker = _DedupeTracker(ARGMIN_CAP)
         if config.kind == "greedy-flip":
-            evals = _greedy_walk(sweep, n, config, tracker, rng)
+            evals = _greedy_walk(evaluator, n, config, tracker, rng)
         else:
-            evals = _anneal_walk(sweep, n, config, tracker, rng)
+            evals = _anneal_walk(evaluator, n, config, tracker, rng)
         best = tracker.best
         count = tracker.count
         listed = tracker.sorted_words()

@@ -56,6 +56,25 @@ def brute_nearest(pool_x, queries):
     return np.array(out, dtype=np.int64)
 
 
+def onenn_closed_form(task):
+    """Exact one-NN optimum without a search.
+
+    With y0_i / y1_i the trusted points of class 0 / 1 whose nearest pool
+    item is i, err(word) = sum_i (y0_i if bit i else y1_i): each bit
+    chooses its own term.  Returns (best errors, number of optimum words,
+    smallest optimum word).
+    """
+    nn = brute_nearest(task.pool.x, task.trusted.x)
+    y0 = [0] * task.n
+    y1 = [0] * task.n
+    for i, label in zip(nn, task.trusted.y):
+        (y1 if label == 1 else y0)[i] += 1
+    best = sum(min(a, b) for a, b in zip(y0, y1))
+    k_opt = 2 ** sum(a == b for a, b in zip(y0, y1))
+    smallest = sum(1 << i for i, (a, b) in enumerate(zip(y0, y1)) if a < b)
+    return best, k_opt, smallest
+
+
 def ols_slope(xs, ys):
     """Least-squares slope via the closed form, independent of the library."""
     xs = [float(x) for x in xs]

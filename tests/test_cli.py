@@ -1,7 +1,13 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from labelsearch import search
 from labelsearch.cli import main
 
 
@@ -88,6 +94,58 @@ def test_missing_task_file_is_a_runtime_refusal(tmp_path, capsys):
                "--out", str(tmp_path / "out.json")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_dead_sweep_worker_exits_one_with_message(tmp_path, capsys, monkeypatch):
+    task = _gen(tmp_path, n=10)
+    parent = os.getpid()
+    real = search._run_sweep_jobs
+    monkeypatch.setattr(search, "_run_sweep_jobs",
+                        lambda payload: os._exit(9) if os.getpid() != parent else real(payload))
+    out = tmp_path / "never.json"
+    rc = main(["search", "exhaustive", "--task", str(task), "--workers", "2", "--out", str(out)])
+    assert rc == 1
+    assert "error: sweep worker 1 failed with exit code 9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Every sweep process announces itself, then blocks until interrupted.
+_BLOCKED_SWEEP = textwrap.dedent("""
+    import os, sys, time
+    from labelsearch import cli, search
+
+    def blocked(payload):
+        os.write(1, f"{os.getpid()}\\n".encode())  # one write: lines never interleave
+        time.sleep(60)
+
+    search._run_sweep_jobs = blocked
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_ctrl_c_exits_one_without_worker_tracebacks(tmp_path):
+    task = _gen(tmp_path, n=10)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _BLOCKED_SWEEP, "search", "exhaustive", "--task", str(task),
+         "--workers", "3", "--out", str(tmp_path / "never.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,  # a process group of its own, as a terminal gives
+    )
+    try:
+        pids = [int(proc.stdout.readline()) for _ in range(3)]
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 1
+    assert "error: interrupted" in err
+    assert "Traceback" not in err
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_chance_hit_subcommand(tmp_path):

@@ -16,6 +16,7 @@ from labelsearch import (
     labeling_from_array,
     labeling_from_word,
 )
+from labelsearch import core
 from labelsearch.core import load_task, save_task, task_from_dict, task_to_dict, task_to_json
 from labelsearch import TaskSpec
 
@@ -164,6 +165,19 @@ def test_task_file_round_trip_exact(tmp_path):
     assert np.array_equal(loaded.ground_truth, task.ground_truth)
     assert loaded.seed == task.seed
     assert task_to_json(loaded) == path.read_text()
+
+
+def test_failed_save_leaves_the_existing_task_file_unchanged(tmp_path, monkeypatch):
+    task = generate_task(TaskSpec(m=3, n=4, d=2, separation=1.0, noise_sigma=1.0, seed=7))
+    path = tmp_path / "task.json"
+    save_task(task, path)
+    before = path.read_bytes()
+    # a lone surrogate cannot be encoded, so the write fails after it began
+    monkeypatch.setattr(core, "task_to_json", lambda _task: '{"d": 2, "\ud800"')
+    with pytest.raises(UnicodeEncodeError):
+        save_task(task, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["task.json"]
 
 
 def test_ground_truth_is_optional():

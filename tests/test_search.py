@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +20,11 @@ from labelsearch import (
     gray_sequence,
     heuristic_search,
 )
+from labelsearch import search
 from labelsearch.search import GrayCursor, ARGMIN_CAP
 
 from conftest import learner_kinds, small_tasks
-from oracles import naive_best, naive_error_counts
+from oracles import naive_best, naive_error_counts, onenn_closed_form
 
 
 # --- Gray enumeration -------------------------------------------------------
@@ -54,6 +59,14 @@ def test_gray_cursor_closed_form(n, data):
         before = cursor.current_word
         flip, word = cursor.advance()
         assert word == before ^ (1 << flip)
+
+
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_gray_flip_blocks_follow_the_cursor(bits):
+    # past 12 bits the 4095-step ruler repeats between higher-bit flips
+    cursor = GrayCursor(bits)
+    expected = bytes(cursor.advance()[0] for _ in range((1 << bits) - 1))
+    assert b"".join(search._gray_flip_blocks(bits)) == expected
 
 
 def test_gray_cursor_exhaustion_and_range_errors():
@@ -101,6 +114,92 @@ def test_exhaustive_is_worker_count_independent():
         assert out.argmin_count == reference.argmin_count
         assert [l.bits for l in out.argmin_labelings] == [l.bits for l in reference.argmin_labelings]
         assert out.evaluations == reference.evaluations
+
+
+def _summary(outcome):
+    return (outcome.best_mu, outcome.argmin_count,
+            [lab.bits for lab in outcome.argmin_labelings], outcome.evaluations)
+
+
+@given(small_tasks(), learner_kinds)
+def test_outcome_is_bit_identical_for_any_worker_count(task, kind):
+    reference = _summary(exhaustive_search(task, kind))
+    for workers in (2, 3, 5, 8):
+        assert _summary(exhaustive_search(task, kind, workers=workers)) == reference
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_forks_one_child_per_extra_share(monkeypatch):
+    started = []
+    real_start = multiprocessing.context.ForkProcess.start
+
+    def counting_start(process):
+        started.append(process)
+        real_start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
+    for n in (1, 2, 10):
+        task = generate_task(TaskSpec(m=4, n=n, d=2, separation=1.0, noise_sigma=1.0, seed=n))
+        for workers in (2, 3, 5, 8):
+            started.clear()
+            exhaustive_search(task, "onenn", workers=workers)
+            subcubes = 1 << min(n, (workers - 1).bit_length())
+            assert len(started) == min(workers, subcubes) - 1
+
+
+def _in_sweep_children(monkeypatch, action):
+    """Make forked sweep workers run ``action`` instead of their share."""
+    parent = os.getpid()
+    real = search._run_sweep_jobs
+
+    def patched(payload):
+        if os.getpid() != parent:
+            action()
+        return real(payload)
+
+    monkeypatch.setattr(search, "_run_sweep_jobs", patched)
+
+
+def _boom():
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("action, message", [
+    (lambda: os._exit(7), r"sweep worker 1 failed with exit code 7: died without a result"),
+    (_boom, r"sweep worker 1 failed with exit code 1: ValueError: boom"),
+])
+def test_failed_sweep_worker_raises_and_leaves_no_child(monkeypatch, action, message):
+    _in_sweep_children(monkeypatch, action)
+    task = generate_task(TaskSpec(m=5, n=10, d=2, separation=1.0, noise_sigma=1.0, seed=2))
+    with pytest.raises(RuntimeError, match=message):
+        exhaustive_search(task, "onenn", workers=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_stops_the_sweep_children(monkeypatch):
+    parent = os.getpid()
+
+    def patched(payload):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(search, "_run_sweep_jobs", patched)
+    task = generate_task(TaskSpec(m=5, n=10, d=2, separation=1.0, noise_sigma=1.0, seed=2))
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        exhaustive_search(task, "centroid", workers=4)
+    assert time.perf_counter() - started < 30
+    assert multiprocessing.active_children() == []
+
+
+@given(small_tasks(max_n=16, max_m=24))
+def test_onenn_optimum_matches_the_closed_form(task):
+    best, k_opt, smallest = onenn_closed_form(task)
+    out = exhaustive_search(task, "onenn")
+    assert out.best_mu == best / task.m
+    assert out.argmin_count == k_opt
+    assert out.argmin_labelings[0].bits == smallest
 
 
 def test_exhaustive_refuses_over_cap_naming_the_cap():
