@@ -11,7 +11,6 @@ from .core import (
     UnlabeledPool,
     evaluate_mu,
     labeling_from_array,
-    labeling_from_word,
     load_task,
     save_task,
 )
@@ -21,7 +20,6 @@ from .costmodel import (
     accelerated_runtime,
     classical_runtime,
     grover_queries,
-    ledger_total,
     perf_per_cost,
     regime_runtime,
     scaling_table,
@@ -34,7 +32,7 @@ from .harness import (
     scaling_experiment,
     self_training_baseline,
 )
-from .learners import LearnerState, fit, flip_update, predict, predict_points
+from .learners import LearnerState, fit, predict, predict_points
 from .search import (
     GrayCursor,
     HeuristicConfig,
@@ -43,7 +41,6 @@ from .search import (
     exhaustive_search,
     gray_sequence,
     heuristic_search,
-    mu_for_words,
 )
 
 __version__ = "0.1.0"
@@ -70,16 +67,12 @@ __all__ = [
     "evaluate_mu",
     "exhaustive_search",
     "fit",
-    "flip_update",
     "generate_task",
     "gray_sequence",
     "grover_queries",
     "heuristic_search",
     "labeling_from_array",
-    "labeling_from_word",
-    "ledger_total",
     "load_task",
-    "mu_for_words",
     "perf_per_cost",
     "predict",
     "predict_points",

@@ -27,6 +27,7 @@ from .core import _write_atomic, load_task, task_to_json
 from .harness import (
     TaskSpec,
     conventional_pipeline,
+    fit_log2_slope,
     generate_task,
     scaling_experiment,
     scaling_report_csv,
@@ -258,12 +259,16 @@ _LEDGER_DEFAULTS = {"label": 0.0, "curate": 0.0, "compute": 0.0, "latency": 0.0,
 def _run_cost_model(parser, ns) -> int:
     if ns.mode == "table":
         cfg = _resolve(parser, ns, _TABLE_DEFAULTS | {"n": None, "out": None}, ("n", "out"))
-        rows = costmodel.scaling_table(
-            _parse_int_list(cfg["n"]),
-            float(cfg["tc_ms"]) / 1000.0,
-            _parse_regimes(cfg["regimes"]),
-        )
+        n_values = _parse_int_list(cfg["n"])
+        rows = costmodel.scaling_table(n_values, float(cfg["tc_ms"]) / 1000.0, _parse_regimes(cfg["regimes"]))
         _write_atomic(cfg["out"], costmodel.scaling_table_csv(rows))
+        # a constant speedup keeps the classical slope of 1, a polynomial one
+        # approaches it from below as n grows, an exponential one with rate
+        # beta lowers it to 1 - beta, and the quadratic-search count sits at 0.5
+        for column in costmodel.SCALING_CSV_HEADER[1:]:
+            if len(n_values) > 1 and rows[0][column] is not None:
+                slope, _ = fit_log2_slope(n_values, [row[column] for row in rows])
+                print(f"{column}: log2 slope = {slope:.6f}")
         return 0
     cfg = _resolve(parser, ns, _LEDGER_DEFAULTS | {"out": None}, ("out",))
     ledger = costmodel.CostLedger(
@@ -273,7 +278,7 @@ def _run_cost_model(parser, ns) -> int:
         latency=float(cfg["latency"]),
         risk=float(cfg["risk"]),
     )
-    payload: dict = {"total": costmodel.ledger_total(ledger)}
+    payload: dict = {"total": ledger.total}
     if cfg["quality"] is not None:
         payload["perf_per_cost"] = costmodel.perf_per_cost(float(cfg["quality"]), ledger)
     _write_atomic(cfg["out"], _result_json("cost-model", "ledger", cfg, payload))

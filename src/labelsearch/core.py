@@ -136,11 +136,6 @@ class Labeling:
         return Labeling(self.bits ^ (1 << i), self.n)
 
 
-def labeling_from_word(bits: int, n: int) -> Labeling:
-    """Build a labeling from a packed word; rejects words with bits above n."""
-    return Labeling(int(bits), int(n))
-
-
 def labeling_from_array(labels, n: int | None = None) -> Labeling:
     """Pack a 0/1 sequence (item i at index i) into a labeling word."""
     arr = np.asarray(labels)

@@ -136,11 +136,6 @@ class CostLedger:
         return self.label + self.curate + self.compute + self.latency + self.risk
 
 
-def ledger_total(ledger: CostLedger) -> float:
-    """Sum of the five spend components."""
-    return ledger.total
-
-
 def perf_per_cost(quality: float, ledger: CostLedger) -> float:
     """Quality achieved per unit of total spend."""
     if quality < 0:

@@ -26,6 +26,7 @@ from .learners import (
     nearest_two_gap,
     predict,
     predict_points,
+    squared_distances,
 )
 from .search import DEFAULT_EXHAUSTIVE_CAP, _check_exhaustive_cap, exhaustive_search
 
@@ -140,12 +141,8 @@ def _confidence(state, x: np.ndarray, learner_kind: str) -> np.ndarray:
         n0, n1 = state.class_counts
         if n0 == 0 or n1 == 0:
             return np.zeros(x.shape[0])
-        c0 = state.class_sums[0] / n0
-        c1 = state.class_sums[1] / n1
-        diff = x - c0
-        d0 = (diff * diff).sum(axis=1)
-        diff = x - c1
-        d1 = (diff * diff).sum(axis=1)
+        d0 = squared_distances(x, state.class_sums[0] / n0)
+        d1 = squared_distances(x, state.class_sums[1] / n1)
         return np.abs(d0 - d1)
     return nearest_two_gap(state.pool_x, x)
 

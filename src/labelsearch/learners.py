@@ -1,14 +1,19 @@
 """Cheap classifiers trained on (pool, labeling) pairs.
 
-Two learner kinds, both supporting exact single-flip updates so a search
-can move through labeling space without retraining from scratch:
+Two learner kinds:
 
 * ``centroid`` (nearest class centroid): the state holds per-class
-  running coordinate sums and counts; a flip moves one item's vector
-  between the class sums.
+  coordinate sums and counts; a flip moves one item's vector between
+  the class sums.
 * ``onenn`` (one nearest neighbor): a query point takes the current
   label of its nearest pool item, so the labeling itself is the model
   and a flip is free.
+
+``fit``/``predict`` train and apply one model.  Searches score
+labelings through one evaluator per learner instead, which serves the
+exhaustive sweep, the heuristics, batch scoring and chance-hit alike:
+it flips one bit at a time without retraining from scratch, and scores
+arrays of packed words in vectorized batches.
 
 Determinism rules, fixed here and relied on by every caller: distance
 comparisons use squared Euclidean distance; centroid distance ties
@@ -141,10 +146,6 @@ class LearnerState:
     class_sums: np.ndarray | None = None
     class_counts: tuple[int, int] | None = None
 
-    @property
-    def n(self) -> int:
-        return self.pool_x.shape[0]
-
 
 def fit(pool: UnlabeledPool, labels, kind: str = CENTROID) -> LearnerState:
     """Train a fresh state on the pool under the given labeling.
@@ -162,37 +163,6 @@ def fit(pool: UnlabeledPool, labels, kind: str = CENTROID) -> LearnerState:
     return LearnerState(kind=kind, pool_x=pool.x, labels=lab)
 
 
-def flip_update(state: LearnerState, pool: UnlabeledPool, item_index: int, new_label: int) -> LearnerState:
-    """Return the state after relabeling one pool item.
-
-    Exactly equivalent to refitting on the flipped labeling (bit-for-bit
-    on dyadic-grid coordinates). Flipping to the item's current label is
-    a contract violation.
-    """
-    if not 0 <= item_index < state.n:
-        raise ValueError(f"item index {item_index} out of range for pool of {state.n}")
-    new_label = int(new_label)
-    if new_label not in (0, 1):
-        raise ValueError("new label must be 0 or 1")
-    old = int(state.labels[item_index])
-    if new_label == old:
-        raise ValueError(f"item {item_index} already has label {new_label}")
-    lab = state.labels.copy()
-    lab[item_index] = new_label
-    lab.setflags(write=False)
-    if state.kind == CENTROID:
-        x_i = pool.x[item_index]
-        sums = state.class_sums.copy()
-        sums[old] -= x_i
-        sums[new_label] += x_i
-        sums.setflags(write=False)
-        n0, n1 = state.class_counts
-        counts = (n0 - 1, n1 + 1) if new_label == 1 else (n0 + 1, n1 - 1)
-        return LearnerState(kind=state.kind, pool_x=state.pool_x, labels=lab,
-                            class_sums=sums, class_counts=counts)
-    return LearnerState(kind=state.kind, pool_x=state.pool_x, labels=lab)
-
-
 def predict_points(state: LearnerState, x: np.ndarray) -> np.ndarray:
     """Predict 0/1 labels for the rows of an arbitrary query matrix."""
     if x.shape[1] != state.pool_x.shape[1]:
@@ -206,3 +176,125 @@ def predict_points(state: LearnerState, x: np.ndarray) -> np.ndarray:
 def predict(state: LearnerState, trusted: TrustedSet) -> np.ndarray:
     """Predict the trusted set's points; returns an (m,) int8 array."""
     return predict_points(state, trusted.x)
+
+
+# --- evaluators -------------------------------------------------------------
+#
+# An evaluator holds one labeling word of the pool and the learner state
+# fitted to it.  ``reset(word)`` refits and returns the error count on the
+# trusted points, ``flip(i)`` toggles bit i and updates the state without
+# scoring, and ``errors()`` scores the current state.  Walks that undo a
+# rejected flip call ``flip`` twice and score once.
+# ``errors_for_words(words)`` scores a uint64 array of words at once and
+# leaves the current state alone.
+
+class _CentroidEvaluator:
+    """Centroid learner driven by single-bit flips or word batches.
+
+    Both paths predict through ``squared_distances``, as the public
+    learner does, so they match refit-from-scratch results (bit-for-bit
+    on dyadic-grid coordinates).
+    """
+
+    def __init__(self, pool_x, ax, ay):
+        self.pool_x = pool_x
+        self.ax = ax
+        self.ay = ay
+        self.word = 0
+        self.sums = None
+        self.counts = [0, 0]
+        self._shifts = np.arange(pool_x.shape[0], dtype=np.uint64)
+        self._errors_y0 = int(np.count_nonzero(ay == 0))
+
+    def reset(self, word: int) -> int:
+        self.word = word
+        labels = Labeling(word, self.pool_x.shape[0]).labels()
+        self.sums, counts = class_sums_and_counts(self.pool_x, labels)
+        self.counts = list(counts)
+        return self.errors()
+
+    def flip(self, i: int) -> None:
+        old = (self.word >> i) & 1
+        x_i = self.pool_x[i]
+        self.sums[old] -= x_i
+        self.sums[1 - old] += x_i
+        self.counts[old] -= 1
+        self.counts[1 - old] += 1
+        self.word ^= 1 << i
+
+    def errors(self) -> int:
+        pred = centroid_predictions(self.sums, self.counts, self.ax)
+        return int(np.count_nonzero(pred != self.ay))
+
+    def errors_for_words(self, words: np.ndarray) -> np.ndarray:
+        bits = ((words[:, None] >> self._shifts[None, :]) & np.uint64(1)).astype(np.float64)
+        sums1 = bits @ self.pool_x
+        sums0 = (1.0 - bits) @ self.pool_x
+        counts1 = bits.sum(axis=1)
+        counts0 = self.pool_x.shape[0] - counts1
+        errs = np.zeros(words.shape[0], dtype=np.int64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c0 = sums0 / counts0[:, None]
+            c1 = sums1 / counts1[:, None]
+            for point, label in zip(self.ax, self.ay):
+                pred1 = squared_distances(c1, point) < squared_distances(c0, point)  # tie -> class 0
+                errs += pred1 != (label == 1)
+        # degenerate single-class labelings predict the nonempty class
+        errs[counts1 == 0] = self.ay.shape[0] - self._errors_y0
+        errs[counts0 == 0] = self._errors_y0
+        return errs
+
+
+class _OneNNEvaluator:
+    """One-nearest-neighbor learner driven by single-bit flips or word
+    batches.
+
+    The trusted-to-pool nearest index is computed once and reduced to
+    per-item class tallies: y0[i] and y1[i] count the trusted points of
+    class 0 and 1 whose nearest pool item is i.  A word's error count is
+    then ``sum(y1) + sum over set bits i of (y0[i] - y1[i])``, so a flip
+    updates it in O(1).  The tallies are Python ints: numpy scalars
+    would cost more per flip than the update itself.
+    """
+
+    def __init__(self, pool_x, ax, ay):
+        nn = nearest_pool_index(pool_x, ax)
+        n = pool_x.shape[0]
+        self._y0 = np.bincount(nn[ay == 0], minlength=n).tolist()
+        self._y1 = np.bincount(nn[ay == 1], minlength=n).tolist()
+        self.word = 0
+        self._errors = 0
+        self._delta: list[int] = []
+        # errors of the all-zeros word, and the change from setting bit i
+        # for every item whose tallies differ
+        self._base = sum(self._y1)
+        self._gains = [(np.uint64(i), y0 - y1) for i, (y0, y1) in enumerate(zip(self._y0, self._y1)) if y0 != y1]
+
+    def reset(self, word: int) -> int:
+        self.word = word
+        bits = [(word >> i) & 1 for i in range(len(self._y0))]
+        tallies = list(zip(bits, self._y0, self._y1))
+        self._errors = sum(y0 if bit else y1 for bit, y0, y1 in tallies)
+        # errors added by flipping item i away from its current label
+        self._delta = [y1 - y0 if bit else y0 - y1 for bit, y0, y1 in tallies]
+        return self._errors
+
+    def flip(self, i: int) -> None:
+        delta = self._delta[i]
+        self._errors += delta
+        self._delta[i] = -delta
+        self.word ^= 1 << i
+
+    def errors(self) -> int:
+        return self._errors
+
+    def errors_for_words(self, words: np.ndarray) -> np.ndarray:
+        errs = np.full(words.shape[0], self._base, dtype=np.int64)
+        one = np.uint64(1)
+        for shift, gain in self._gains:
+            errs += ((words >> shift) & one).view(np.int64) * gain
+        return errs
+
+
+def _make_evaluator(kind: str, pool_x, ax, ay):
+    return _CentroidEvaluator(pool_x, ax, ay) if kind == CENTROID else _OneNNEvaluator(pool_x, ax, ay)

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_LABELING_BITS, Labeling, SearchOutcome, Task
-from .learners import (
-    CENTROID,
-    ONE_NN,
-    _check_kind,
-    centroid_predictions,
-    class_sums_and_counts,
-    nearest_pool_index,
-)
+from .learners import CENTROID, _check_kind, _make_evaluator
 
 #: Default / hard ceiling on pool size for exhaustive sweeps.  Runtime is
 #: the experiment here, so the refusal is a guard rail, not a nuisance.
@@ -113,93 +106,6 @@ def _gray_flip_blocks(bits: int):
     yield _RULER[: (1 << inner) - 1]
     for block in range(1, 1 << (bits - inner)):
         yield bytes(((block & -block).bit_length() - 1 + _RULER_BITS,)) + _RULER
-
-
-# --- incremental evaluators -------------------------------------------------
-#
-# An evaluator holds one labeling word and the learner state fitted to
-# it.  ``reset(word)`` refits and returns the error count, ``flip(i)``
-# toggles bit i and updates the state without scoring, and ``errors()``
-# scores the current state.  Walks that undo a rejected flip call
-# ``flip`` twice and score once.
-
-class _CentroidEvaluator:
-    """Centroid learner driven by single-bit flips.
-
-    Predictions are produced by the same helper as the public learner,
-    so a sweep matches refit-from-scratch results (bit-for-bit on
-    dyadic-grid coordinates).
-    """
-
-    def __init__(self, pool_x, ax, ay):
-        self.pool_x = pool_x
-        self.ax = ax
-        self.ay = ay
-        self.word = 0
-        self.sums = None
-        self.counts = [0, 0]
-
-    def reset(self, word: int) -> int:
-        self.word = word
-        labels = Labeling(word, self.pool_x.shape[0]).labels()
-        self.sums, counts = class_sums_and_counts(self.pool_x, labels)
-        self.counts = list(counts)
-        return self.errors()
-
-    def flip(self, i: int) -> None:
-        old = (self.word >> i) & 1
-        x_i = self.pool_x[i]
-        self.sums[old] -= x_i
-        self.sums[1 - old] += x_i
-        self.counts[old] -= 1
-        self.counts[1 - old] += 1
-        self.word ^= 1 << i
-
-    def errors(self) -> int:
-        pred = centroid_predictions(self.sums, self.counts, self.ax)
-        return int(np.count_nonzero(pred != self.ay))
-
-
-class _OneNNEvaluator:
-    """One-nearest-neighbor learner driven by single-bit flips.
-
-    The trusted-to-pool nearest index is precomputed once; flipping pool
-    item i only moves the predictions of trusted points mapped to i, so
-    the error count updates in O(1) from per-item class tallies.  The
-    tallies are Python ints: numpy scalars would cost more per flip
-    than the update itself.
-    """
-
-    def __init__(self, pool_x, ax, ay):
-        nn = nearest_pool_index(pool_x, ax)
-        n = pool_x.shape[0]
-        self._y0 = np.bincount(nn[ay == 0], minlength=n).tolist()
-        self._y1 = np.bincount(nn[ay == 1], minlength=n).tolist()
-        self.word = 0
-        self._errors = 0
-        self._delta: list[int] = []
-
-    def reset(self, word: int) -> int:
-        self.word = word
-        bits = [(word >> i) & 1 for i in range(len(self._y0))]
-        tallies = list(zip(bits, self._y0, self._y1))
-        self._errors = sum(y0 if bit else y1 for bit, y0, y1 in tallies)
-        # errors added by flipping item i away from its current label
-        self._delta = [y1 - y0 if bit else y0 - y1 for bit, y0, y1 in tallies]
-        return self._errors
-
-    def flip(self, i: int) -> None:
-        delta = self._delta[i]
-        self._errors += delta
-        self._delta[i] = -delta
-        self.word ^= 1 << i
-
-    def errors(self) -> int:
-        return self._errors
-
-
-def _make_evaluator(kind: str, pool_x, ax, ay):
-    return _CentroidEvaluator(pool_x, ax, ay) if kind == CENTROID else _OneNNEvaluator(pool_x, ax, ay)
 
 
 # --- optimum tracking -------------------------------------------------------
@@ -442,51 +348,12 @@ def error_counts_for_words(task: Task, words, learner_kind: str = CENTROID) -> n
     if n > MAX_LABELING_BITS:
         raise ValueError(f"pool size {n} exceeds the {MAX_LABELING_BITS}-bit labeling bound")
     words = np.asarray(words, dtype=np.uint64)
-    ax, ay = task.trusted.x, task.trusted.y
-    m = task.m
+    evaluator = _make_evaluator(learner_kind, task.pool.x, task.trusted.x, task.trusted.y)
     out = np.empty(words.shape[0], dtype=np.int64)
-    shifts = np.arange(n, dtype=np.uint64)
-    nn = nearest_pool_index(task.pool.x, ax) if learner_kind == ONE_NN else None
-    errors_y0 = int(np.count_nonzero(ay == 0))
-
     for start in range(0, words.shape[0], _WORD_CHUNK):
         chunk = words[start : start + _WORD_CHUNK]
-        errs = np.zeros(chunk.shape[0], dtype=np.int64)
-        if learner_kind == ONE_NN:
-            for j in range(m):
-                pred = (chunk >> np.uint64(nn[j])) & np.uint64(1)
-                errs += pred != np.uint64(ay[j])
-        else:
-            bits = ((chunk[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.float64)
-            sums1 = bits @ task.pool.x
-            sums0 = (1.0 - bits) @ task.pool.x
-            counts1 = bits.sum(axis=1)
-            counts0 = n - counts1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                c0 = sums0 / counts0[:, None]
-                c1 = sums1 / counts1[:, None]
-                for j in range(m):
-                    diff = ax[j, 0] - c0[:, 0]
-                    d0 = diff * diff
-                    diff = ax[j, 0] - c1[:, 0]
-                    d1 = diff * diff
-                    for k in range(1, task.d):
-                        diff = ax[j, k] - c0[:, k]
-                        d0 = d0 + diff * diff
-                        diff = ax[j, k] - c1[:, k]
-                        d1 = d1 + diff * diff
-                    pred1 = d1 < d0  # tie -> class 0
-                    errs += pred1 != (ay[j] == 1)
-            # degenerate single-class labelings predict the nonempty class
-            errs[counts1 == 0] = m - errors_y0
-            errs[counts0 == 0] = errors_y0
-        out[start : start + chunk.shape[0]] = errs
+        out[start : start + chunk.shape[0]] = evaluator.errors_for_words(chunk)
     return out
-
-
-def mu_for_words(task: Task, words, learner_kind: str = CENTROID) -> np.ndarray:
-    """Trusted-set error rate of each labeling word."""
-    return error_counts_for_words(task, words, learner_kind) / task.m
 
 
 # --- heuristic search -------------------------------------------------------

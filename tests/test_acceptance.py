@@ -15,6 +15,7 @@ import pytest
 
 from labelsearch import (
     HeuristicConfig,
+    Labeling,
     SpeedupRegime,
     Task,
     TaskSpec,
@@ -25,17 +26,16 @@ from labelsearch import (
     error_counts_for_words,
     exhaustive_search,
     fit,
-    flip_update,
     generate_task,
     gray_sequence,
     grover_queries,
     heuristic_search,
-    labeling_from_word,
     predict,
     regime_runtime,
     scaling_experiment,
     scaling_table,
 )
+from labelsearch.learners import _make_evaluator, centroid_predictions, nearest_pool_index
 from labelsearch.search import ARGMIN_CAP, GrayCursor
 
 from oracles import naive_best, ols_slope
@@ -212,6 +212,7 @@ def test_criterion_6_incremental_refit_equivalence():
     sequences = 10_000
     per_task = 25
     pred_mismatches = 0
+    error_mismatches = 0
     worst_rel = 0.0
     for block in range(sequences // per_task):
         kind = "centroid" if block % 2 == 0 else "onenn"
@@ -226,31 +227,42 @@ def test_criterion_6_incremental_refit_equivalence():
             )
         )
         n = task.n
+        ax, ay = task.trusted.x, task.trusted.y
+        evaluator = _make_evaluator(kind, task.pool.x, ax, ay)
+        nn = nearest_pool_index(task.pool.x, ax)
         for _ in range(per_task):
             word = int(rng.integers(0, 1 << n))
-            state = fit(task.pool, labeling_from_word(word, n), kind)
+            evaluator.reset(word)
             for _ in range(int(rng.integers(1, 2 * n + 1))):
                 i = int(rng.integers(0, n))
-                state = flip_update(state, task.pool, i, 1 - int(state.labels[i]))
+                evaluator.flip(i)
                 word ^= 1 << i
-            fresh = fit(task.pool, labeling_from_word(word, n), kind)
-            if not np.array_equal(predict(state, task.trusted), predict(fresh, task.trusted)):
+            fresh = fit(task.pool, Labeling(word, n), kind)
+            expected = predict(fresh, task.trusted)
+            if kind == "centroid":
+                got = centroid_predictions(evaluator.sums, evaluator.counts, ax)
+            else:
+                got = Labeling(evaluator.word, n).labels()[nn]
+            if not np.array_equal(got, expected):
                 pred_mismatches += 1
+            if evaluator.errors() != int(np.count_nonzero(expected != ay)):
+                error_mismatches += 1
             if kind == "centroid":
                 for cls in (0, 1):
                     count = fresh.class_counts[cls]
                     if count == 0:
                         continue
-                    inc = state.class_sums[cls] / count
+                    inc = evaluator.sums[cls] / count
                     ref = fresh.class_sums[cls] / count
                     denom = np.maximum(np.abs(ref), 1e-300)
                     worst_rel = max(worst_rel, float(np.max(np.abs(inc - ref) / denom)))
-    ok = pred_mismatches == 0 and worst_rel <= 1e-9
+    ok = pred_mismatches == 0 and error_mismatches == 0 and worst_rel <= 1e-9
     _report(
         6,
         "flip-updated states equal refits",
         ok,
         f"{sequences} flip sequences (n <= 16): prediction mismatches={pred_mismatches}, "
+        f"error-count mismatches={error_mismatches}, "
         f"worst centroid relative deviation={worst_rel:.3g} <= 1e-9",
     )
 

@@ -196,6 +196,28 @@ def test_cost_model_table_row_count(tmp_path):
     assert len(lines) == 25
 
 
+def test_cost_model_table_prints_column_slopes(tmp_path, capsys):
+    rc = main(["cost-model", "table", "--n", "1:30", "--regimes", "const:4,exp:0.5",
+               "--out", str(tmp_path / "table.csv")])
+    assert rc == 0
+    slopes = dict(line.split(": log2 slope = ") for line in capsys.readouterr().out.splitlines())
+    # the polynomial column was not requested, so it has no slope line
+    assert sorted(slopes) == ["T_classical", "T_const", "T_exp", "grover_queries"]
+    assert float(slopes["T_classical"]) == pytest.approx(1.0)
+    assert float(slopes["T_const"]) == pytest.approx(1.0)
+    assert float(slopes["T_exp"]) == pytest.approx(0.5)
+    assert float(slopes["grover_queries"]) == pytest.approx(0.5)
+
+
+def test_compare_baselines_script_runs():
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_baselines.py")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, script, "--n", "8"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "exhaustive optimum dominates both: True" in proc.stdout
+
+
 def test_cost_model_ledger(tmp_path):
     out = tmp_path / "ledger.json"
     rc = main(["cost-model", "ledger", "--label", "1", "--curate", "1", "--compute", "1",

@@ -14,7 +14,6 @@ from labelsearch import (
     evaluate_mu,
     generate_task,
     labeling_from_array,
-    labeling_from_word,
 )
 from labelsearch import core
 from labelsearch.core import load_task, save_task, task_from_dict, task_to_dict, task_to_json
@@ -26,30 +25,30 @@ from conftest import small_tasks
 # --- labeling words ---------------------------------------------------------
 
 def test_labeling_bit_positions():
-    assert labeling_from_word(0b101, 3).labels().tolist() == [1, 0, 1]
+    assert Labeling(0b101, 3).labels().tolist() == [1, 0, 1]
 
 
 def test_labeling_zero_word():
-    assert labeling_from_word(0, 5).labels().tolist() == [0] * 5
+    assert Labeling(0, 5).labels().tolist() == [0] * 5
 
 
 def test_labeling_saturated_word():
-    assert labeling_from_word(2**4 - 1, 4).labels().tolist() == [1] * 4
+    assert Labeling(2**4 - 1, 4).labels().tolist() == [1] * 4
 
 
 def test_labeling_word_out_of_range():
     with pytest.raises(ValueError):
-        labeling_from_word(1 << 3, 3)
+        Labeling(1 << 3, 3)
     with pytest.raises(ValueError):
-        labeling_from_word(0, 64)
+        Labeling(0, 64)
     with pytest.raises(ValueError):
-        labeling_from_word(-1, 3)
+        Labeling(-1, 3)
 
 
 def test_labeling_array_round_trip():
     lab = labeling_from_array([1, 0, 0, 1, 1])
     assert lab.bits == 0b11001
-    assert labeling_from_word(lab.bits, lab.n).labels().tolist() == [1, 0, 0, 1, 1]
+    assert Labeling(lab.bits, lab.n).labels().tolist() == [1, 0, 0, 1, 1]
 
 
 @given(st.integers(1, 63), st.data())

@@ -12,7 +12,6 @@ from labelsearch import (
     accelerated_runtime,
     classical_runtime,
     grover_queries,
-    ledger_total,
     perf_per_cost,
     regime_runtime,
     scaling_table,
@@ -145,7 +144,7 @@ def test_grover_matches_sqrt_oracle():
 # --- ledger -----------------------------------------------------------------
 
 def test_ledger_total_is_the_sum():
-    assert ledger_total(CostLedger(1, 1, 1, 1, 1)) == 5.0
+    assert CostLedger(1, 1, 1, 1, 1).total == 5.0
 
 
 def test_perf_per_cost_division():

@@ -4,18 +4,17 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from labelsearch import (
+    Labeling,
     TaskSpec,
     TrustedSet,
     UnlabeledPool,
     evaluate_mu,
     fit,
-    flip_update,
     generate_task,
     labeling_from_array,
-    labeling_from_word,
     predict,
 )
-from labelsearch.learners import nearest_pool_index, predict_points
+from labelsearch.learners import _make_evaluator, nearest_pool_index, predict_points
 
 from conftest import learner_kinds, small_tasks
 from oracles import brute_nearest, fsum_class_means
@@ -25,7 +24,7 @@ from oracles import brute_nearest, fsum_class_means
 
 def test_fit_one_point_per_class():
     pool = UnlabeledPool(np.array([[0.0, 0.0], [2.0, 2.0]]))
-    state = fit(pool, labeling_from_word(0b10, 2), "centroid")
+    state = fit(pool, Labeling(0b10, 2), "centroid")
     assert state.class_counts == (1, 1)
     assert np.array_equal(state.class_sums[0], [0.0, 0.0])
     assert np.array_equal(state.class_sums[1], [2.0, 2.0])
@@ -33,14 +32,14 @@ def test_fit_one_point_per_class():
 
 def test_fit_degenerate_all_zero_labels():
     pool = UnlabeledPool(np.arange(10.0)[:, None])
-    state = fit(pool, labeling_from_word(0, 10), "centroid")
+    state = fit(pool, Labeling(0, 10), "centroid")
     assert state.class_counts == (10, 0)
     assert np.array_equal(state.class_sums[1], [0.0])
 
 
 def test_fit_centroids_match_hand_summation():
     pool = UnlabeledPool(np.array([[1.0, -2.0], [3.5, 0.25], [-4.0, 8.0], [0.5, 0.5]]))
-    lab = labeling_from_word(0b0011, 4)  # items 0,1 -> class 1; items 2,3 -> class 0
+    lab = Labeling(0b0011, 4)  # items 0,1 -> class 1; items 2,3 -> class 0
     state = fit(pool, lab, "centroid")
     expected = fsum_class_means(pool.x, lab.labels())
     for cls in (0, 1):
@@ -51,7 +50,7 @@ def test_fit_centroids_match_hand_summation():
 def test_fit_rejects_unknown_kind():
     pool = UnlabeledPool(np.ones((2, 1)))
     with pytest.raises(ValueError):
-        fit(pool, labeling_from_word(0, 2), "svm")
+        fit(pool, Labeling(0, 2), "svm")
 
 
 def test_fit_accepts_label_arrays_of_any_length():
@@ -63,56 +62,82 @@ def test_fit_accepts_label_arrays_of_any_length():
     assert state.class_counts == (35, 35)
 
 
-# --- flip_update ------------------------------------------------------------
+# --- evaluators -------------------------------------------------------------
+
+def _evaluator(kind, pool, trusted, word):
+    evaluator = _make_evaluator(kind, pool.x, trusted.x, trusted.y)
+    evaluator.reset(word)
+    return evaluator
+
+
+def _assert_matches_refit(evaluator, kind, pool, trusted, word):
+    """The evaluator holds ``word`` and scores it as a refit does; a
+    centroid evaluator's running sums and counts equal the refit's
+    exactly (the pools here sit on a dyadic grid)."""
+    assert evaluator.word == word
+    fresh = fit(pool, Labeling(word, pool.n), kind)
+    assert evaluator.errors() == int(np.count_nonzero(predict(fresh, trusted) != trusted.y))
+    if kind == "centroid":
+        assert np.array_equal(evaluator.sums, fresh.class_sums)
+        assert tuple(evaluator.counts) == fresh.class_counts
+
 
 def test_flip_emptying_a_class():
     pool = UnlabeledPool(np.arange(5.0)[:, None])
-    state = fit(pool, labeling_from_word(0b00100, 5), "centroid")
-    state = flip_update(state, pool, 2, 0)
-    assert state.class_counts == (5, 0)
+    trusted = TrustedSet(np.array([[-1.0], [6.0]]), np.array([0, 1]))
+    evaluator = _evaluator("centroid", pool, trusted, 0b00100)
+    evaluator.flip(2)
+    assert evaluator.counts == [5, 0]
+    _assert_matches_refit(evaluator, "centroid", pool, trusted, 0)
 
 
 def test_flip_then_flip_back_restores_predictions():
     pool = UnlabeledPool(np.array([[0.0, 1.0], [4.0, -1.0], [2.0, 2.0]]))
     trusted = TrustedSet(np.array([[1.0, 1.0], [3.0, 0.0]]), np.array([0, 1]))
     for kind in ("centroid", "onenn"):
-        original = fit(pool, labeling_from_word(0b011, 3), kind)
-        there = flip_update(original, pool, 1, 0)
-        back = flip_update(there, pool, 1, 1)
-        assert np.array_equal(predict(back, trusted), predict(original, trusted))
-
-
-def test_flip_to_same_label_is_a_contract_violation():
-    pool = UnlabeledPool(np.ones((3, 1)))
-    state = fit(pool, labeling_from_word(0b010, 3), "centroid")
-    with pytest.raises(ValueError):
-        flip_update(state, pool, 1, 1)
+        evaluator = _evaluator(kind, pool, trusted, 0b011)
+        evaluator.flip(1)
+        _assert_matches_refit(evaluator, kind, pool, trusted, 0b001)
+        evaluator.flip(1)
+        _assert_matches_refit(evaluator, kind, pool, trusted, 0b011)
 
 
 def test_single_flip_matches_refit_on_random_task():
     task = generate_task(TaskSpec(m=5, n=10, d=2, separation=1.5, noise_sigma=1.0, seed=21))
     for kind in ("centroid", "onenn"):
-        state = fit(task.pool, labeling_from_word(0b1011001110, 10), kind)
-        flipped = flip_update(state, task.pool, 4, 1 - int(state.labels[4]))
-        word = 0b1011001110 ^ (1 << 4)
-        fresh = fit(task.pool, labeling_from_word(word, 10), kind)
-        assert np.array_equal(predict(flipped, task.trusted), predict(fresh, task.trusted))
+        evaluator = _evaluator(kind, task.pool, task.trusted, 0b1011001110)
+        evaluator.flip(4)
+        _assert_matches_refit(evaluator, kind, task.pool, task.trusted, 0b1011001110 ^ (1 << 4))
 
 
 @given(small_tasks(max_n=16), learner_kinds, st.data())
 def test_flip_sequences_equal_refit(task, kind, data):
     n = task.n
     word = data.draw(st.integers(0, (1 << n) - 1))
-    state = fit(task.pool, labeling_from_word(word, n), kind)
+    evaluator = _evaluator(kind, task.pool, task.trusted, word)
     for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)):
-        state = flip_update(state, task.pool, i, 1 - int(state.labels[i]))
+        evaluator.flip(i)
         word ^= 1 << i
-    fresh = fit(task.pool, labeling_from_word(word, n), kind)
-    assert np.array_equal(predict(state, task.trusted), predict(fresh, task.trusted))
-    if kind == "centroid":
-        # generator coordinates sit on a dyadic grid, so running sums are exact
-        assert np.array_equal(state.class_sums, fresh.class_sums)
-        assert state.class_counts == fresh.class_counts
+    # generator coordinates sit on a dyadic grid, so running sums are exact
+    _assert_matches_refit(evaluator, kind, task.pool, task.trusted, word)
+
+
+@pytest.mark.parametrize("n", [40, 63])
+@pytest.mark.parametrize("kind", ["centroid", "onenn"])
+def test_errors_for_words_match_reset_on_wide_pools(kind, n):
+    # far past any refit oracle's reach: the batch kernel must agree with
+    # the evaluator's own per-word scoring, top bit and degenerate words too
+    task = generate_task(TaskSpec(m=24, n=n, d=3, separation=1.0, noise_sigma=1.0, seed=n))
+    rng = np.random.default_rng(n)
+    top = 1 << (n - 1)
+    words = np.concatenate([
+        rng.integers(0, 1 << n, size=300, dtype=np.uint64),
+        rng.integers(0, top, size=100, dtype=np.uint64) | np.uint64(top),
+        np.array([0, (1 << n) - 1, top, (1 << n) - 1 - top], dtype=np.uint64),
+    ])
+    evaluator = _make_evaluator(kind, task.pool.x, task.trusted.x, task.trusted.y)
+    batch = evaluator.errors_for_words(words)
+    assert batch.tolist() == [evaluator.reset(int(w)) for w in words]
 
 
 # --- predict ----------------------------------------------------------------
@@ -120,16 +145,16 @@ def test_flip_sequences_equal_refit(task, kind, data):
 def test_predict_tie_goes_to_class_zero():
     pool = UnlabeledPool(np.array([[0.0], [2.0]]))
     trusted = TrustedSet(np.array([[1.0]]), np.array([1]))
-    state = fit(pool, labeling_from_word(0b10, 2), "centroid")
+    state = fit(pool, Labeling(0b10, 2), "centroid")
     assert predict(state, trusted).tolist() == [0]
 
 
 def test_predict_empty_class_takes_nonempty_side():
     pool = UnlabeledPool(np.array([[0.0], [1.0], [2.0]]))
     trusted = TrustedSet(np.array([[-5.0], [9.0]]), np.array([0, 1]))
-    all_ones = fit(pool, labeling_from_word(0b111, 3), "centroid")
+    all_ones = fit(pool, Labeling(0b111, 3), "centroid")
     assert predict(all_ones, trusted).tolist() == [1, 1]
-    all_zeros = fit(pool, labeling_from_word(0, 3), "centroid")
+    all_zeros = fit(pool, Labeling(0, 3), "centroid")
     assert predict(all_zeros, trusted).tolist() == [0, 0]
 
 
@@ -161,12 +186,12 @@ def test_label_swap_symmetry(task, kind, data):
     word = data.draw(st.integers(0, (1 << task.n) - 1))
     swapped_word = word ^ ((1 << task.n) - 1)
     mu = evaluate_mu(
-        predict(fit(task.pool, labeling_from_word(word, task.n), kind), task.trusted),
+        predict(fit(task.pool, Labeling(word, task.n), kind), task.trusted),
         task.trusted,
     ).mu
     swapped_trusted = TrustedSet(task.trusted.x, 1 - task.trusted.y)
     mu_swapped = evaluate_mu(
-        predict(fit(task.pool, labeling_from_word(swapped_word, task.n), kind), swapped_trusted),
+        predict(fit(task.pool, Labeling(swapped_word, task.n), kind), swapped_trusted),
         swapped_trusted,
     ).mu
     assert mu == mu_swapped
@@ -191,12 +216,20 @@ def test_nearest_tie_resolves_to_lowest_index():
 def test_one_nn_flip_changes_only_mapped_points():
     task = generate_task(TaskSpec(m=9, n=12, d=2, separation=1.0, noise_sigma=1.0, seed=17))
     nn = nearest_pool_index(task.pool.x, task.trusted.x)
-    state = fit(task.pool, labeling_from_word(0b101010101010, 12), "onenn")
-    before = predict(state, task.trusted)
+    word = 0b101010101010
+    correct = Labeling(word, task.n).labels()[nn] == task.trusted.y
+    evaluator = _evaluator("onenn", task.pool, task.trusted, word)
+    before = evaluator.errors()
     for i in range(task.n):
-        after = predict(flip_update(state, task.pool, i, 1 - int(state.labels[i])), task.trusted)
-        changed = np.flatnonzero(after != before)
-        assert set(changed) == set(np.flatnonzero(nn == i))
+        evaluator.flip(i)
+        # only the points mapped to item i change prediction, so each of
+        # them turns from right to wrong or from wrong to right
+        mapped = nn == i
+        assert evaluator.errors() == (
+            before + int(np.count_nonzero(mapped & correct)) - int(np.count_nonzero(mapped & ~correct))
+        )
+        _assert_matches_refit(evaluator, "onenn", task.pool, task.trusted, word ^ (1 << i))
+        evaluator.flip(i)
 
 
 def test_predict_points_on_external_queries():
