@@ -35,6 +35,7 @@ from .harness import (
     self_training_baseline,
 )
 from .search import (
+    MAX_WORKERS,
     HeuristicConfig,
     chance_hit_experiment,
     exhaustive_search,
@@ -43,8 +44,12 @@ from .search import (
 
 _SEARCH_MODES = {"exhaustive": None, "random": "random", "greedy": "greedy-flip", "anneal": "anneal"}
 
-#: Cores this process may run on, so the default never oversubscribes.
-_DEFAULT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+#: Cores this process may run on, so the default never oversubscribes,
+#: and never more than the worker ceiling.
+_DEFAULT_WORKERS = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+    MAX_WORKERS,
+)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=sorted(_SEARCH_MODES))
     p.add_argument("--task", default=S, help="task JSON path")
     p.add_argument("--learner", choices=("centroid", "onenn"), default=S)
-    p.add_argument("--workers", type=int, default=S, help="parallel workers (exhaustive only)")
+    p.add_argument("--workers", type=int, default=S, help=f"parallel workers, 1..{MAX_WORKERS} (exhaustive only)")
     p.add_argument("--cap", type=int, default=S, help="exhaustive size cap (default 24, hard 32)")
     p.add_argument("--budget", type=int, default=S, help="heuristic evaluation budget")
     p.add_argument("--restarts", type=int, default=S)
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=S)
     p.add_argument("--seed", type=int, default=S)
     p.add_argument("--learner", choices=("centroid", "onenn"), default=S)
-    p.add_argument("--workers", type=int, default=S)
+    p.add_argument("--workers", type=int, default=S, help=f"parallel workers, 1..{MAX_WORKERS}")
     p.add_argument("--cap", type=int, default=S)
     p.add_argument("--out-csv", default=S)
     p.add_argument("--out-json", default=S)

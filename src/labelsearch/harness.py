@@ -28,7 +28,7 @@ from .learners import (
     predict_points,
     squared_distances,
 )
-from .search import DEFAULT_EXHAUSTIVE_CAP, _check_exhaustive_cap, exhaustive_search
+from .search import DEFAULT_EXHAUSTIVE_CAP, _check_exhaustive_cap, _check_workers, exhaustive_search
 
 from concurrent.futures import ProcessPoolExecutor
 
@@ -277,8 +277,9 @@ def scaling_experiment(
 
     One task per n (seed derived as template.seed + n), swept after a
     discarded warm-up at the smallest n; timings use the monotonic
-    clock.  With ``workers`` > 1 a single process pool is reused for
-    every n so per-call overhead stays flat.
+    clock.  ``workers`` must lie in [1, ``search.MAX_WORKERS``]; with
+    more than one, a single process pool is reused for every n so
+    per-call overhead stays flat.
     """
     _check_kind(learner_kind)
     ns = sorted(set(int(n) for n in n_values))
@@ -286,7 +287,7 @@ def scaling_experiment(
         raise ValueError("n_values must be nonempty")
     for n in ns:
         _check_exhaustive_cap(n, cap)
-    workers = max(1, int(workers))
+    workers = _check_workers(workers)
 
     def task_for(n: int) -> Task:
         return generate_task(replace(template, n=n, seed=template.seed + n))

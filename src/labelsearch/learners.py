@@ -20,15 +20,20 @@ comparisons use squared Euclidean distance; centroid distance ties
 predict class 0; an empty centroid class predicts the nonempty class
 for every query; nearest-item ties resolve to the lowest pool index.
 
-On coordinates from the generator's dyadic grid (see ``core.COORD_GRID``)
-all sums below are exact in float64, so incrementally updated states
-match refit states bit-for-bit; on arbitrary float data they agree to
-about 1e-9 relative.
+The centroid evaluator keeps its running class sums as Python floats and
+updates and scores them with the same IEEE operations, in the same
+order, as numpy (2, d) sum rows scored by ``centroid_predictions``, so
+the two agree bit-for-bit on any data.  On coordinates from the
+generator's dyadic grid (see ``core.COORD_GRID``) all sums are exact in
+float64, so flip-updated states also match refit states bit-for-bit;
+on arbitrary float data a flip-updated state and a refit agree to about
+1e-9 relative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
@@ -191,9 +196,15 @@ def predict(state: LearnerState, trusted: TrustedSet) -> np.ndarray:
 class _CentroidEvaluator:
     """Centroid learner driven by single-bit flips or word batches.
 
-    Both paths predict through ``squared_distances``, as the public
-    learner does, so they match refit-from-scratch results (bit-for-bit
-    on dyadic-grid coordinates).
+    Both paths predict with the arithmetic of ``centroid_predictions``
+    and ``squared_distances``, as the public learner does, so they match
+    refit-from-scratch results (bit-for-bit on dyadic-grid coordinates).
+
+    The single-flip path keeps the running class sums as Python floats
+    and the pool rows as float tuples: a flip is then 2*d float adds,
+    where numpy rows of length d would cost more per call than the
+    arithmetic.  ``errors`` divides the sums in Python and does the same
+    IEEE operations, in the same order, on contiguous trusted columns.
     """
 
     def __init__(self, pool_x, ax, ay):
@@ -203,28 +214,51 @@ class _CentroidEvaluator:
         self.word = 0
         self.sums = None
         self.counts = [0, 0]
+        self._rows = [tuple(row) for row in pool_x.tolist()]
+        self._columns = [np.ascontiguousarray(ax[:, k]) for k in range(ax.shape[1])]
+        self._is_one = ay == 1
         self._shifts = np.arange(pool_x.shape[0], dtype=np.uint64)
         self._errors_y0 = int(np.count_nonzero(ay == 0))
+        self._errors_y1 = ay.shape[0] - self._errors_y0
 
     def reset(self, word: int) -> int:
         self.word = word
         labels = Labeling(word, self.pool_x.shape[0]).labels()
-        self.sums, counts = class_sums_and_counts(self.pool_x, labels)
+        sums, counts = class_sums_and_counts(self.pool_x, labels)
+        self.sums = sums.tolist()
         self.counts = list(counts)
         return self.errors()
 
     def flip(self, i: int) -> None:
         old = (self.word >> i) & 1
-        x_i = self.pool_x[i]
-        self.sums[old] -= x_i
-        self.sums[1 - old] += x_i
-        self.counts[old] -= 1
-        self.counts[1 - old] += 1
+        row = self._rows[i]
+        sums, counts = self.sums, self.counts
+        sums[old] = list(map(sub, sums[old], row))
+        sums[1 - old] = list(map(add, sums[1 - old], row))
+        counts[old] -= 1
+        counts[1 - old] += 1
         self.word ^= 1 << i
 
+    def _distances(self, class_sums: list[float], count: int) -> np.ndarray:
+        """``squared_distances(ax, class_sums / count)``, column by column."""
+        columns = self._columns
+        diff = columns[0] - class_sums[0] / count
+        acc = diff * diff
+        for k in range(1, len(columns)):
+            diff = columns[k] - class_sums[k] / count
+            acc += diff * diff
+        return acc
+
     def errors(self) -> int:
-        pred = centroid_predictions(self.sums, self.counts, self.ax)
-        return int(np.count_nonzero(pred != self.ay))
+        n0, n1 = self.counts
+        # an empty class predicts the nonempty one for every query
+        if n0 == 0:
+            return self._errors_y0
+        if n1 == 0:
+            return self._errors_y1
+        d0 = self._distances(self.sums[0], n0)
+        d1 = self._distances(self.sums[1], n1)
+        return int(np.count_nonzero((d1 < d0) != self._is_one))  # tie -> class 0
 
     def errors_for_words(self, words: np.ndarray) -> np.ndarray:
         bits = ((words[:, None] >> self._shifts[None, :]) & np.uint64(1)).astype(np.float64)
@@ -240,7 +274,7 @@ class _CentroidEvaluator:
                 pred1 = squared_distances(c1, point) < squared_distances(c0, point)  # tie -> class 0
                 errs += pred1 != (label == 1)
         # degenerate single-class labelings predict the nonempty class
-        errs[counts1 == 0] = self.ay.shape[0] - self._errors_y0
+        errs[counts1 == 0] = self._errors_y1
         errs[counts0 == 0] = self._errors_y0
         return errs
 

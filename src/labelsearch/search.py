@@ -31,6 +31,10 @@ from .learners import CENTROID, _check_kind, _make_evaluator
 DEFAULT_EXHAUSTIVE_CAP = 24
 HARD_EXHAUSTIVE_CAP = 32
 
+#: Hard ceiling on sweep workers.  Every worker is a process, so a
+#: mistyped count is refused before any of them starts.
+MAX_WORKERS = 256
+
 #: Maximum number of optimum words kept in an outcome's argmin list.
 #: Degenerate tasks can have exponentially many optima; the exact count
 #: is still reported.
@@ -272,6 +276,13 @@ def _check_exhaustive_cap(n: int, cap: int) -> None:
         )
 
 
+def _check_workers(workers: int) -> int:
+    workers = int(workers)
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
+    return workers
+
+
 def exhaustive_search(
     task: Task,
     learner_kind: str = CENTROID,
@@ -283,8 +294,9 @@ def exhaustive_search(
 
     The outcome (best error, optimum set, evaluation count) is
     deterministic and identical for any worker count; only the wall
-    clock changes.  With ``workers`` > 1 the top bits of the word split
-    the sweep into subcubes dealt round-robin to ``workers`` shares.
+    clock changes.  ``workers`` must lie in [1, ``MAX_WORKERS``]; with
+    more than one, the top bits of the word split the sweep into
+    subcubes dealt round-robin to ``workers`` shares.
     ``executor`` lets callers reuse one process pool across many
     searches; without one, this process sweeps the first share and
     forks one child per other share (POSIX ``fork`` start method).  A
@@ -293,7 +305,7 @@ def exhaustive_search(
     _check_kind(learner_kind)
     n = task.n
     _check_exhaustive_cap(n, cap)
-    workers = max(1, int(workers))
+    workers = _check_workers(workers)
 
     prefix_bits = 0 if workers == 1 else min(n, (workers - 1).bit_length())
     low_bits = n - prefix_bits

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from labelsearch.core import Labeling
-from labelsearch.learners import fit, predict
+from labelsearch.learners import centroid_predictions, class_sums_and_counts, fit, predict
 
 
 def naive_error_counts(task, kind):
@@ -73,6 +73,43 @@ def onenn_closed_form(task):
     k_opt = 2 ** sum(a == b for a, b in zip(y0, y1))
     smallest = sum(1 << i for i, (a, b) in enumerate(zip(y0, y1)) if a < b)
     return best, k_opt, smallest
+
+
+class NumpyRowCentroidEvaluator:
+    """The centroid evaluator's single-flip path on numpy rows.
+
+    Running class sums form a (2, d) float64 array that a flip updates a
+    row at a time, and every score calls ``centroid_predictions``: the
+    arithmetic the library's evaluator must reproduce bit for bit.
+    """
+
+    def __init__(self, pool_x, ax, ay):
+        self.pool_x = pool_x
+        self.ax = ax
+        self.ay = ay
+        self.word = 0
+        self.sums = None
+        self.counts = [0, 0]
+
+    def reset(self, word):
+        self.word = word
+        labels = Labeling(word, self.pool_x.shape[0]).labels()
+        self.sums, counts = class_sums_and_counts(self.pool_x, labels)
+        self.counts = list(counts)
+        return self.errors()
+
+    def flip(self, i):
+        old = (self.word >> i) & 1
+        x_i = self.pool_x[i]
+        self.sums[old] -= x_i
+        self.sums[1 - old] += x_i
+        self.counts[old] -= 1
+        self.counts[1 - old] += 1
+        self.word ^= 1 << i
+
+    def errors(self):
+        pred = centroid_predictions(self.sums, self.counts, self.ax)
+        return int(np.count_nonzero(pred != self.ay))
 
 
 def ols_slope(xs, ys):

@@ -240,7 +240,8 @@ def test_criterion_6_incremental_refit_equivalence():
             fresh = fit(task.pool, Labeling(word, n), kind)
             expected = predict(fresh, task.trusted)
             if kind == "centroid":
-                got = centroid_predictions(evaluator.sums, evaluator.counts, ax)
+                sums = np.array(evaluator.sums)
+                got = centroid_predictions(sums, evaluator.counts, ax)
             else:
                 got = Labeling(evaluator.word, n).labels()[nn]
             if not np.array_equal(got, expected):
@@ -252,7 +253,7 @@ def test_criterion_6_incremental_refit_equivalence():
                     count = fresh.class_counts[cls]
                     if count == 0:
                         continue
-                    inc = evaluator.sums[cls] / count
+                    inc = sums[cls] / count
                     ref = fresh.class_sums[cls] / count
                     denom = np.maximum(np.abs(ref), 1e-300)
                     worst_rel = max(worst_rel, float(np.max(np.abs(inc - ref) / denom)))

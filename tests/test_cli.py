@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -7,7 +8,7 @@ import textwrap
 
 import pytest
 
-from labelsearch import search
+from labelsearch import harness, search
 from labelsearch.cli import main
 
 
@@ -75,6 +76,30 @@ def test_search_over_cap_exits_one_naming_cap(tmp_path, capsys):
     assert "cap 10" in capsys.readouterr().err
     assert not out.exists()
     assert not list(tmp_path.glob(".tmp*"))  # no partial outputs left behind
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "257", "5000"])
+def test_bad_worker_counts_exit_one_before_any_process_starts(tmp_path, capsys, monkeypatch, workers):
+    task = _gen(tmp_path, n=13)
+    starts = []
+
+    def refuse_start(*args, **kwargs):
+        starts.append(args)
+        raise AssertionError("a process was started")
+
+    # the forked sweep starts processes through BaseProcess.start; the
+    # scaling pool would too, but is refused here at construction
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse_start)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse_start)
+    out = tmp_path / "never.json"
+    rc = main(["search", "exhaustive", "--task", str(task), "--workers", workers, "--out", str(out)])
+    assert rc == 1
+    assert f"workers must be in [1, {search.MAX_WORKERS}], got {workers}" in capsys.readouterr().err
+    rc = main(["scaling", "--n-values", "13", "--workers", workers, "--out-csv", str(out)])
+    assert rc == 1
+    assert f"workers must be in [1, {search.MAX_WORKERS}], got {workers}" in capsys.readouterr().err
+    assert starts == []
+    assert not out.exists()
 
 
 def test_argument_errors_exit_two(tmp_path):

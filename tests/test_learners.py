@@ -14,10 +14,10 @@ from labelsearch import (
     labeling_from_array,
     predict,
 )
-from labelsearch.learners import _make_evaluator, nearest_pool_index, predict_points
+from labelsearch.learners import _make_evaluator, nearest_pool_index, predict_points, squared_distances
 
 from conftest import learner_kinds, small_tasks
-from oracles import brute_nearest, fsum_class_means
+from oracles import NumpyRowCentroidEvaluator, brute_nearest, fsum_class_means
 
 
 # --- fit --------------------------------------------------------------------
@@ -83,12 +83,21 @@ def _assert_matches_refit(evaluator, kind, pool, trusted, word):
 
 
 def test_flip_emptying_a_class():
+    # two class-0 points and one class-1 point: an empty class 1 predicts
+    # class 0 everywhere (1 error), an empty class 0 predicts class 1
+    # everywhere (2 errors), so swapping the two rules shows
     pool = UnlabeledPool(np.arange(5.0)[:, None])
-    trusted = TrustedSet(np.array([[-1.0], [6.0]]), np.array([0, 1]))
+    trusted = TrustedSet(np.array([[-1.0], [-2.0], [6.0]]), np.array([0, 0, 1]))
     evaluator = _evaluator("centroid", pool, trusted, 0b00100)
     evaluator.flip(2)
     assert evaluator.counts == [5, 0]
+    assert evaluator.errors() == 1
     _assert_matches_refit(evaluator, "centroid", pool, trusted, 0)
+    evaluator = _evaluator("centroid", pool, trusted, 0b11011)
+    evaluator.flip(2)
+    assert evaluator.counts == [0, 5]
+    assert evaluator.errors() == 2
+    _assert_matches_refit(evaluator, "centroid", pool, trusted, 0b11111)
 
 
 def test_flip_then_flip_back_restores_predictions():
@@ -120,6 +129,42 @@ def test_flip_sequences_equal_refit(task, kind, data):
         word ^= 1 << i
     # generator coordinates sit on a dyadic grid, so running sums are exact
     _assert_matches_refit(evaluator, kind, task.pool, task.trusted, word)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_centroid_flips_match_numpy_row_reference(d):
+    # off the dyadic grid flips and refits may round differently, but the
+    # evaluator must still do the numpy-row reference's arithmetic exactly
+    rng = np.random.default_rng(100 + d)
+    for _ in range(5):
+        n = int(rng.integers(2, 12))
+        pool_x = rng.normal(size=(n, d)) * 3.0
+        ax = rng.normal(size=(int(rng.integers(1, 16)), d)) * 3.0
+        ay = rng.integers(0, 2, size=ax.shape[0]).astype(np.int8)
+        evaluator = _make_evaluator("centroid", pool_x, ax, ay)
+        reference = NumpyRowCentroidEvaluator(pool_x, ax, ay)
+        word = int(rng.integers(0, 1 << n))
+        assert evaluator.reset(word) == reference.reset(word)
+
+        def walk(flips):
+            for i in flips:
+                evaluator.flip(i)
+                reference.flip(i)
+                assert evaluator.word == reference.word
+                assert evaluator.counts == reference.counts
+                assert np.array(evaluator.sums).tobytes() == reference.sums.tobytes()
+                assert evaluator.errors() == reference.errors()
+                for cls, count in enumerate(reference.counts):
+                    if count:  # the distances centroid_predictions compares
+                        expected = squared_distances(ax, reference.sums[cls] / count)
+                        assert evaluator._distances(evaluator.sums[cls], count).tobytes() == expected.tobytes()
+
+        walk(rng.integers(0, n, size=3 * n).tolist())
+        walk([i for i in range(n) if (evaluator.word >> i) & 1])
+        assert evaluator.counts == [n, 0]
+        walk(range(n))
+        assert evaluator.counts == [0, n]
+        walk(rng.integers(0, n, size=3 * n).tolist())
 
 
 @pytest.mark.parametrize("n", [40, 63])
