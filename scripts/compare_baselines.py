@@ -31,7 +31,7 @@ from labelsearch import (
 
 def labeling_mu(task, labels, learner):
     state = fit(task.pool, np.asarray(labels, dtype=np.int8), learner)
-    return evaluate_mu(predict(state, task.trusted), task.trusted).mu
+    return evaluate_mu(predict(state, task.trusted), task.trusted)
 
 
 def main() -> None:

@@ -3,21 +3,18 @@ trusted set, plus the analytic cost model for why hardware speedups
 rescale the sweep but never flatten its exponential growth."""
 
 from .core import (
-    EvalResult,
     Labeling,
     SearchOutcome,
     Task,
     TrustedSet,
     UnlabeledPool,
     evaluate_mu,
-    labeling_from_array,
     load_task,
     save_task,
 )
 from .costmodel import (
     CostLedger,
     SpeedupRegime,
-    accelerated_runtime,
     classical_runtime,
     grover_queries,
     perf_per_cost,
@@ -34,12 +31,10 @@ from .harness import (
 )
 from .learners import LearnerState, fit, predict, predict_points
 from .search import (
-    GrayCursor,
     HeuristicConfig,
     chance_hit_experiment,
     error_counts_for_words,
     exhaustive_search,
-    gray_sequence,
     heuristic_search,
 )
 
@@ -47,8 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostLedger",
-    "EvalResult",
-    "GrayCursor",
     "HeuristicConfig",
     "Labeling",
     "LearnerState",
@@ -59,7 +52,6 @@ __all__ = [
     "TaskSpec",
     "TrustedSet",
     "UnlabeledPool",
-    "accelerated_runtime",
     "chance_hit_experiment",
     "classical_runtime",
     "conventional_pipeline",
@@ -68,10 +60,8 @@ __all__ = [
     "exhaustive_search",
     "fit",
     "generate_task",
-    "gray_sequence",
     "grover_queries",
     "heuristic_search",
-    "labeling_from_array",
     "load_task",
     "perf_per_cost",
     "predict",

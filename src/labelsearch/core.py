@@ -123,43 +123,9 @@ class Labeling:
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"labeling word {self.bits:#x} out of range for {self.n} bits")
 
-    def label_of(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
     def labels(self) -> np.ndarray:
         """Unpack to an (n,) int8 array, item i at index i."""
         return np.array([(self.bits >> i) & 1 for i in range(self.n)], dtype=np.int8)
-
-    def flip(self, i: int) -> "Labeling":
-        if not 0 <= i < self.n:
-            raise ValueError(f"flip index {i} out of range for {self.n} bits")
-        return Labeling(self.bits ^ (1 << i), self.n)
-
-
-def labeling_from_array(labels, n: int | None = None) -> Labeling:
-    """Pack a 0/1 sequence (item i at index i) into a labeling word."""
-    arr = np.asarray(labels)
-    _check_binary(arr, "labels")
-    if n is None:
-        n = arr.shape[0]
-    if arr.shape[0] != n:
-        raise ValueError(f"expected {n} labels, got {arr.shape[0]}")
-    word = 0
-    for i, v in enumerate(arr):
-        word |= int(v) << i
-    return Labeling(word, n)
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Outcome of scoring predictions against the trusted set.
-
-    ``mu`` is the misclassified fraction (0-1 error), ``correct_count``
-    the number of agreements; mu lives on the grid {0, 1/m, ..., 1}.
-    """
-
-    mu: float
-    correct_count: int
 
 
 @dataclass(frozen=True)
@@ -167,10 +133,15 @@ class SearchOutcome:
     """Result of a search over labelings.
 
     ``argmin_labelings`` holds the words achieving ``best_mu``, sorted
-    ascending and capped at the searcher's list cap; ``argmin_count`` is
-    the exact number of optima found (exhaustive searches count beyond
-    the cap).  ``mean_eval_time`` is the measured seconds per
-    train-and-score cycle.
+    ascending and capped at ``search.ARGMIN_CAP`` (1024) words.
+    ``argmin_count`` is the number of optima found.  It is exact for
+    exhaustive sweeps, which count beyond the cap, and for random
+    search, which counts the distinct optimum words it drew.  For the
+    greedy-flip and annealing walks, which may revisit words, it is
+    exact while fewer than 1024 distinct optima have been seen; after
+    that it is an upper bound, because a revisited optimum that is not
+    in the list counts again.  ``mean_eval_time`` is the measured
+    seconds per train-and-score cycle.
     """
 
     best_mu: float
@@ -227,18 +198,13 @@ class Task:
     def d(self) -> int:
         return self.trusted.d
 
-    def ground_truth_labeling(self) -> Labeling | None:
-        """Ground truth as a packed word, when present and n fits a word."""
-        if self.ground_truth is None or self.n > MAX_LABELING_BITS:
-            return None
-        return labeling_from_array(self.ground_truth, self.n)
 
-
-def evaluate_mu(predictions: Sequence[int] | np.ndarray, trusted: TrustedSet) -> EvalResult:
+def evaluate_mu(predictions: Sequence[int] | np.ndarray, trusted: TrustedSet) -> float:
     """Score predictions on the trusted set with 0-1 error.
 
-    ``mu`` is the number of disagreements divided by m.  Raises if the
-    prediction vector length does not match the trusted set.
+    Returns ``mu``, the number of disagreements divided by m, on the
+    grid {0, 1/m, ..., 1}.  Raises if the prediction vector length does
+    not match the trusted set.
     """
     pred = np.asarray(predictions)
     if pred.ndim != 1 or pred.shape[0] != trusted.m:
@@ -246,7 +212,7 @@ def evaluate_mu(predictions: Sequence[int] | np.ndarray, trusted: TrustedSet) ->
     _check_binary(pred, "predictions")
     correct = int(np.count_nonzero(pred.astype(np.int8) == trusted.y))
     errors = trusted.m - correct
-    return EvalResult(mu=errors / trusted.m, correct_count=correct)
+    return errors / trusted.m
 
 
 # --- task file schema ------------------------------------------------------

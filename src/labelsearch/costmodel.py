@@ -18,52 +18,45 @@ POLYNOMIAL = "polynomial"
 EXPONENTIAL = "exponential"
 REGIME_KINDS = (CONSTANT, POLYNOMIAL, EXPONENTIAL)
 
-SCALING_CSV_HEADER = ["n", "T_classical", "T_const", "T_poly", "T_exp", "grover_queries"]
+#: Scaling-table column of each regime kind.
+_REGIME_COLUMNS = {"T_const": CONSTANT, "T_poly": POLYNOMIAL, "T_exp": EXPONENTIAL}
+
+SCALING_CSV_HEADER = ["n", "T_classical", *_REGIME_COLUMNS, "grover_queries"]
 
 
 @dataclass(frozen=True)
 class SpeedupRegime:
     """How the hardware speedup factor grows with pool size n.
 
-    Exactly one parameter is meaningful per kind: ``l0`` (constant
-    factor, >= 1), ``alpha`` (polynomial exponent, > 0), or ``beta``
-    (exponential rate, in (0, 1]).  Use the classmethod constructors.
+    ``value`` is the one parameter of ``kind``: the constant factor
+    l0 (>= 1), the polynomial exponent alpha (> 0), or the exponential
+    rate beta (in (0, 1]).  Use the classmethod constructors.
     """
 
     kind: str
-    l0: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
+    value: float
 
     def __post_init__(self):
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"unknown speedup regime {self.kind!r}; expected one of {REGIME_KINDS}")
-        expected = {CONSTANT: "l0", POLYNOMIAL: "alpha", EXPONENTIAL: "beta"}[self.kind]
-        for name in ("l0", "alpha", "beta"):
-            value = getattr(self, name)
-            if name == expected:
-                if value is None:
-                    raise ValueError(f"{self.kind} regime requires {name}")
-            elif value is not None:
-                raise ValueError(f"{self.kind} regime does not take {name}")
-        if self.kind == CONSTANT and not self.l0 >= 1:
+        if self.kind == CONSTANT and not self.value >= 1:
             raise ValueError("constant speedup factor must be >= 1")
-        if self.kind == POLYNOMIAL and not self.alpha > 0:
+        if self.kind == POLYNOMIAL and not self.value > 0:
             raise ValueError("polynomial exponent must be positive")
-        if self.kind == EXPONENTIAL and not 0 < self.beta <= 1:
+        if self.kind == EXPONENTIAL and not 0 < self.value <= 1:
             raise ValueError("exponential rate must lie in (0, 1]")
 
     @classmethod
     def constant(cls, l0: float) -> "SpeedupRegime":
-        return cls(CONSTANT, l0=l0)
+        return cls(CONSTANT, l0)
 
     @classmethod
     def polynomial(cls, alpha: float) -> "SpeedupRegime":
-        return cls(POLYNOMIAL, alpha=alpha)
+        return cls(POLYNOMIAL, alpha)
 
     @classmethod
     def exponential(cls, beta: float) -> "SpeedupRegime":
-        return cls(EXPONENTIAL, beta=beta)
+        return cls(EXPONENTIAL, beta)
 
 
 def classical_runtime(n: int, t_c):
@@ -75,20 +68,10 @@ def classical_runtime(n: int, t_c):
     return (1 << n) * t_c
 
 
-def accelerated_runtime(n: int, t_c, speedup):
-    """Sweep time on hardware ``speedup`` times faster per cycle.
-
-    The speedup enters only as a multiplicative factor: the result
-    times ``speedup`` recovers the classical runtime (exactly so in
-    exact arithmetic, e.g. with Fraction inputs).
-    """
-    if not speedup >= 1:
-        raise ValueError(f"speedup must be >= 1, got {speedup}")
-    return classical_runtime(n, t_c) / speedup
-
-
 def regime_runtime(n: int, t_c, regime: SpeedupRegime):
     """Sweep time when the speedup factor itself grows with n.
+
+    With the regime's ``value`` as l0, alpha or beta:
 
     constant:    2**n * t_c / l0
     polynomial:  2**n * t_c / n**alpha   (undefined at n = 0)
@@ -99,12 +82,12 @@ def regime_runtime(n: int, t_c, regime: SpeedupRegime):
     if not t_c > 0:
         raise ValueError("per-cycle time must be positive")
     if regime.kind == CONSTANT:
-        return (1 << n) * t_c / regime.l0
+        return (1 << n) * t_c / regime.value
     if regime.kind == POLYNOMIAL:
         if n == 0:
             raise ValueError("polynomial speedup regime is undefined at n = 0")
-        return (1 << n) * t_c / n**regime.alpha
-    return 2.0 ** ((1.0 - regime.beta) * n) * t_c
+        return (1 << n) * t_c / n**regime.value
+    return 2.0 ** ((1.0 - regime.value) * n) * t_c
 
 
 def grover_queries(n: int) -> float:
@@ -166,9 +149,8 @@ def scaling_table(n_values, t_c, regimes: list[SpeedupRegime]) -> list[dict]:
     rows = []
     for n in ns:
         row = {"n": n, "T_classical": classical_runtime(n, t_c)}
-        row["T_const"] = regime_runtime(n, t_c, by_kind[CONSTANT]) if CONSTANT in by_kind else None
-        row["T_poly"] = regime_runtime(n, t_c, by_kind[POLYNOMIAL]) if POLYNOMIAL in by_kind else None
-        row["T_exp"] = regime_runtime(n, t_c, by_kind[EXPONENTIAL]) if EXPONENTIAL in by_kind else None
+        for column, kind in _REGIME_COLUMNS.items():
+            row[column] = regime_runtime(n, t_c, by_kind[kind]) if kind in by_kind else None
         row["grover_queries"] = grover_queries(n)
         rows.append(row)
     return rows
@@ -180,12 +162,5 @@ def scaling_table_csv(rows: list[dict]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCALING_CSV_HEADER)
     for row in rows:
-        writer.writerow([
-            row["n"],
-            row["T_classical"],
-            "" if row["T_const"] is None else row["T_const"],
-            "" if row["T_poly"] is None else row["T_poly"],
-            "" if row["T_exp"] is None else row["T_exp"],
-            row["grover_queries"],
-        ])
+        writer.writerow(["" if row[column] is None else row[column] for column in SCALING_CSV_HEADER])
     return buf.getvalue()

@@ -118,7 +118,7 @@ def conventional_pipeline(task: Task, learner_kind: str = CENTROID) -> dict:
     mu_on_holdout = None
     if holdout is not None:
         half_model = fit(UnlabeledPool(fit_half.x), fit_half.y, learner_kind)
-        mu_on_holdout = evaluate_mu(predict(half_model, holdout), holdout).mu
+        mu_on_holdout = evaluate_mu(predict(half_model, holdout), holdout)
 
     accuracy = None
     if task.ground_truth is not None:
@@ -202,7 +202,7 @@ def self_training_baseline(
 
     final_mu = None
     if holdout is not None:
-        final_mu = evaluate_mu(predict(model, holdout), holdout).mu
+        final_mu = evaluate_mu(predict(model, holdout), holdout)
 
     induced = pseudo.copy()
     if not labeled.all():

@@ -103,6 +103,17 @@ def centroid_predictions(class_sums: np.ndarray, class_counts: tuple[int, int], 
     return (d1 < d0).astype(np.int8)  # tie -> class 0
 
 
+def _pairwise_squared_distances(pool_x: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(queries, pool items) squared distances, accumulated over the
+    coordinates in ascending index order as in ``squared_distances``."""
+    diff = queries[:, 0, None] - pool_x[None, :, 0]
+    dist = diff * diff
+    for k in range(1, pool_x.shape[1]):
+        diff = queries[:, k, None] - pool_x[None, :, k]
+        dist = dist + diff * diff
+    return dist
+
+
 def nearest_pool_index(pool_x: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Index of each query's nearest pool item (ties -> lowest index)."""
     nq = queries.shape[0]
@@ -110,11 +121,7 @@ def nearest_pool_index(pool_x: np.ndarray, queries: np.ndarray) -> np.ndarray:
     best_idx = np.zeros(nq, dtype=np.int64)
     for start in range(0, pool_x.shape[0], _NN_CHUNK):
         chunk = pool_x[start : start + _NN_CHUNK]
-        diff = queries[:, 0, None] - chunk[None, :, 0]
-        dist = diff * diff
-        for k in range(1, pool_x.shape[1]):
-            diff = queries[:, k, None] - chunk[None, :, k]
-            dist = dist + diff * diff
+        dist = _pairwise_squared_distances(chunk, queries)
         local = np.argmin(dist, axis=1)
         local_best = dist[np.arange(nq), local]
         better = local_best < best  # strict keeps the earliest chunk on ties
@@ -131,11 +138,7 @@ def nearest_two_gap(pool_x: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """
     if pool_x.shape[0] < 2:
         return np.zeros(queries.shape[0])
-    diff = queries[:, 0, None] - pool_x[None, :, 0]
-    dist = diff * diff
-    for k in range(1, pool_x.shape[1]):
-        diff = queries[:, k, None] - pool_x[None, :, k]
-        dist = dist + diff * diff
+    dist = _pairwise_squared_distances(pool_x, queries)
     two = np.partition(dist, 1, axis=1)[:, :2]
     return two[:, 1] - two[:, 0]
 

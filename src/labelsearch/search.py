@@ -2,7 +2,10 @@
 
 The exhaustive searcher walks each subcube of the labeling hypercube in
 reflected-Gray order, so consecutive candidates differ in one bit and
-the learner state is updated instead of refit.  Parallel runs fix the
+the learner state is updated instead of refit.  The order comes from one
+place, the 4095-step ruler behind ``_gray_flip_blocks`` (the loopless
+reflected-Gray walk of Bitner, Ehrlich and Reingold, CACM 19(9), 1976);
+it is the package's only Gray code.  Parallel runs fix the
 top bits per subcube and merge associatively, making the outcome
 independent of worker count and scheduling.
 
@@ -40,61 +43,12 @@ MAX_WORKERS = 256
 #: is still reported.
 ARGMIN_CAP = 1024
 
-GRAY_MAX_BITS = 32
-
 _WORD_CHUNK = 8192
 
 HEURISTIC_KINDS = ("random", "greedy-flip", "anneal")
 
 
 # --- Gray-code enumeration --------------------------------------------------
-
-def _gray_word(step: int, n: int) -> int:
-    return (step ^ (step >> 1)) & ((1 << n) - 1)
-
-
-@dataclass
-class GrayCursor:
-    """Position in a reflected-Gray sweep of n-bit words.
-
-    ``current_word`` always equals ``step ^ (step >> 1)`` masked to n
-    bits; each :meth:`advance` flips exactly one bit.
-    """
-
-    n: int
-    step: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.n <= GRAY_MAX_BITS:
-            raise ValueError(f"gray sweep width must be in [1, {GRAY_MAX_BITS}], got {self.n}")
-        if not 0 <= self.step < (1 << self.n):
-            raise ValueError("cursor step out of range")
-
-    @property
-    def current_word(self) -> int:
-        return _gray_word(self.step, self.n)
-
-    def advance(self) -> tuple[int, int]:
-        """Step forward; returns (flipped bit index, new word)."""
-        if self.step + 1 >= (1 << self.n):
-            raise ValueError("gray sweep exhausted")
-        self.step += 1
-        flip = (self.step & -self.step).bit_length() - 1
-        return flip, self.current_word
-
-
-def gray_sequence(n: int):
-    """Yield (flipped_bit, labeling) over all 2**n words, each exactly once.
-
-    Starts at the all-zeros word (flipped_bit None); every later step
-    reports the single bit that changed.
-    """
-    cursor = GrayCursor(n)
-    yield None, Labeling(0, n)
-    for _ in range((1 << n) - 1):
-        flip, word = cursor.advance()
-        yield flip, Labeling(word, n)
-
 
 #: Flipped bit of steps 1..4095 of a reflected-Gray sweep (the number of
 #: trailing zeros of the step).  Wider sweeps repeat it between flips of
@@ -105,7 +59,8 @@ _RULER = bytes((s & -s).bit_length() - 1 for s in range(1, 1 << _RULER_BITS))
 
 def _gray_flip_blocks(bits: int):
     """Yield the flip indices of a ``bits``-wide reflected-Gray sweep in
-    bytes blocks; joined, they are :meth:`GrayCursor.advance`'s flips."""
+    bytes blocks.  Applied from word 0, the joined flips visit every
+    ``bits``-bit word once; the word after step s is ``s ^ (s >> 1)``."""
     inner = min(bits, _RULER_BITS)
     yield _RULER[: (1 << inner) - 1]
     for block in range(1, 1 << (bits - inner)):
@@ -118,12 +73,11 @@ class _SmallestTracker:
     """Track the minimum error and the smallest-by-word optima.
 
     Meant for enumerations that visit each word at most once: the count
-    is exact and the kept list is the ``cap`` smallest optimum words
-    (max-heap of negated words).
+    is exact and the kept list is the ``ARGMIN_CAP`` smallest optimum
+    words (max-heap of negated words).
     """
 
-    def __init__(self, cap: int):
-        self.cap = cap
+    def __init__(self):
         self.best: int | None = None
         self.count = 0
         self._heap: list[int] = []
@@ -135,7 +89,7 @@ class _SmallestTracker:
             self._heap = [-word]
         elif err == self.best:
             self.count += 1
-            if len(self._heap) < self.cap:
+            if len(self._heap) < ARGMIN_CAP:
                 heapq.heappush(self._heap, -word)
             elif -self._heap[0] > word:
                 heapq.heapreplace(self._heap, -word)
@@ -147,12 +101,13 @@ class _SmallestTracker:
 class _DedupeTracker:
     """Optimum tracker for heuristic walks that may revisit words.
 
-    Keeps the first ``cap`` distinct optima seen; the count is exact
-    while under the cap and may double-count revisits once it is full.
+    Keeps the first ``ARGMIN_CAP`` distinct optima seen.  The count is
+    exact while the list has room; once it is full, a revisit of an
+    optimum that is not in the list counts again, so the count is an
+    upper bound.
     """
 
-    def __init__(self, cap: int):
-        self.cap = cap
+    def __init__(self):
         self.best: int | None = None
         self.count = 0
         self._words: set[int] = set()
@@ -166,7 +121,7 @@ class _DedupeTracker:
             if word in self._words:
                 return
             self.count += 1
-            if len(self._words) < self.cap:
+            if len(self._words) < ARGMIN_CAP:
                 self._words.add(word)
 
     def sorted_words(self) -> list[int]:
@@ -181,7 +136,7 @@ def _sweep_subcube(evaluator, prefix_word: int, low_bits: int) -> _SmallestTrack
     Only candidates that tie or beat the best so far reach the tracker;
     the others could not change it.
     """
-    tracker = _SmallestTracker(ARGMIN_CAP)
+    tracker = _SmallestTracker()
     best = evaluator.reset(prefix_word)
     tracker.offer(prefix_word, best)
     flip, errors, offer = evaluator.flip, evaluator.errors, tracker.offer
@@ -486,7 +441,7 @@ def heuristic_search(task: Task, learner_kind: str, config: HeuristicConfig) -> 
         evals = config.budget
     else:
         evaluator = _make_evaluator(learner_kind, task.pool.x, task.trusted.x, task.trusted.y)
-        tracker = _DedupeTracker(ARGMIN_CAP)
+        tracker = _DedupeTracker()
         if config.kind == "greedy-flip":
             evals = _greedy_walk(evaluator, n, config, tracker, rng)
         else:

@@ -1,7 +1,9 @@
 import hypothesis
 import hypothesis.strategies as st
+import numpy as np
 
 from labelsearch import TaskSpec, generate_task
+from labelsearch.search import _gray_flip_blocks
 
 hypothesis.settings.register_profile(
     "ci", max_examples=40, deadline=None, derandomize=True
@@ -27,3 +29,15 @@ def small_tasks(draw, max_n=10, min_m=1, max_m=10):
 
 
 learner_kinds = st.sampled_from(["centroid", "onenn"])
+
+
+def ruler_walk(n):
+    """The sweep's n-bit Gray ruler applied from word 0.
+
+    Returns the flip index of each step and the 2**n visited words (word
+    0 first, the word after step s at index s), as uint64 arrays.
+    """
+    flips = np.frombuffer(b"".join(_gray_flip_blocks(n)), dtype=np.uint8).astype(np.uint64)
+    words = np.zeros(1 << n, dtype=np.uint64)
+    np.bitwise_xor.accumulate(np.uint64(1) << flips, out=words[1:])
+    return flips, words

@@ -14,6 +14,19 @@ from labelsearch.core import Labeling
 from labelsearch.learners import centroid_predictions, class_sums_and_counts, fit, predict
 
 
+def pack_word(labels):
+    """Labeling word of a 0/1 sequence, item i at bit i."""
+    return sum(int(v) << i for i, v in enumerate(labels))
+
+
+def inverse_gray(words, n):
+    """Step of each reflected-Gray word: the XOR of all its right shifts."""
+    steps = words.copy()
+    for shift in range(1, n):
+        steps ^= words >> np.uint64(shift)
+    return steps
+
+
 def naive_error_counts(task, kind):
     """Error count per labeling word, refit from scratch, binary order."""
     counts = np.empty(1 << task.n, dtype=np.int64)

@@ -27,7 +27,6 @@ from labelsearch import (
     exhaustive_search,
     fit,
     generate_task,
-    gray_sequence,
     grover_queries,
     heuristic_search,
     predict,
@@ -36,9 +35,10 @@ from labelsearch import (
     scaling_table,
 )
 from labelsearch.learners import _make_evaluator, centroid_predictions, nearest_pool_index
-from labelsearch.search import ARGMIN_CAP, GrayCursor
+from labelsearch.search import ARGMIN_CAP
 
-from oracles import naive_best, ols_slope
+from conftest import ruler_walk
+from oracles import inverse_gray, naive_best, ols_slope, pack_word
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -196,7 +196,7 @@ def test_criterion_5_dominance_invariants():
         approx = heuristic_search(task, kind, config)
         if approx.best_mu < exact.best_mu:
             violations += 1
-        truth_errors = int(error_counts_for_words(task, [task.ground_truth_labeling().bits], kind)[0])
+        truth_errors = int(error_counts_for_words(task, [pack_word(task.ground_truth)], kind)[0])
         if exact.best_mu > truth_errors / task.m:
             violations += 1
     _report(
@@ -309,39 +309,24 @@ def test_criterion_7_cost_model_exactness():
     )
 
 
-def _inverse_gray(word: int) -> int:
-    # independent inverse: XOR of all right shifts
-    out = 0
-    while word:
-        out ^= word
-        word >>= 1
-    return out
-
-
 def test_criterion_8_gray_code_properties():
+    # the ruler the exhaustive sweep runs, walked from word 0 at every step
     problems = []
-    for n in range(1, 17):
-        words = [lab.bits for _, lab in gray_sequence(n)]
-        if len(set(words)) != 1 << n or words[0] != 0:
+    for n in range(1, 21):
+        flips, words = ruler_walk(n)
+        steps = np.arange(1 << n, dtype=np.uint64)
+        if words[0] != 0 or np.unique(words).size != 1 << n:
             problems.append(f"n={n}: not a bijection from zero")
-        if any(bin(a ^ b).count("1") != 1 for a, b in zip(words, words[1:])):
-            problems.append(f"n={n}: multi-bit transition")
-    rng = np.random.default_rng(88)
-    for n in range(17, 21):
-        for step in rng.integers(0, (1 << n) - 1, size=4000):
-            step = int(step)
-            cursor = GrayCursor(n, step)
-            here = cursor.current_word
-            flip, after = cursor.advance()
-            if bin(here ^ after).count("1") != 1 or after != here ^ (1 << flip):
-                problems.append(f"n={n} step={step}: bad transition")
-                break
-            if _inverse_gray(here) != step:
-                problems.append(f"n={n} step={step}: not invertible")
-                break
+        moved = words[1:] ^ words[:-1]
+        if flips.max() >= n or np.any(moved & (moved - np.uint64(1))) or not np.all(moved):
+            problems.append(f"n={n}: a step that is not a single in-range bit")
+        if not np.array_equal(words, steps ^ (steps >> np.uint64(1))):
+            problems.append(f"n={n}: word after step s is not s ^ (s >> 1)")
+        if not np.array_equal(inverse_gray(words, n), steps):
+            problems.append(f"n={n}: not invertible")
     _report(
         8,
-        "full sweeps hit every word once, one bit at a time",
+        "the sweep's Gray ruler hits every word once, one bit at a time",
         not problems,
-        f"n in 1..16 checked exhaustively, 17..20 sampled (4000 steps each); problems={problems or 0}",
+        f"joined _gray_flip_blocks(n) checked at every step for n in 1..20; problems={problems or 0}",
     )

@@ -13,13 +13,13 @@ from labelsearch import (
     UnlabeledPool,
     evaluate_mu,
     generate_task,
-    labeling_from_array,
 )
 from labelsearch import core
 from labelsearch.core import load_task, save_task, task_from_dict, task_to_dict, task_to_json
 from labelsearch import TaskSpec
 
 from conftest import small_tasks
+from oracles import pack_word
 
 
 # --- labeling words ---------------------------------------------------------
@@ -46,18 +46,9 @@ def test_labeling_word_out_of_range():
 
 
 def test_labeling_array_round_trip():
-    lab = labeling_from_array([1, 0, 0, 1, 1])
-    assert lab.bits == 0b11001
-    assert Labeling(lab.bits, lab.n).labels().tolist() == [1, 0, 0, 1, 1]
-
-
-@given(st.integers(1, 63), st.data())
-def test_flip_twice_is_identity(n, data):
-    bits = data.draw(st.integers(0, (1 << n) - 1))
-    i = data.draw(st.integers(0, n - 1))
-    lab = Labeling(bits, n)
-    assert lab.flip(i).flip(i) == lab
-    assert lab.flip(i).label_of(i) == 1 - lab.label_of(i)
+    word = pack_word([1, 0, 0, 1, 1])
+    assert word == 0b11001
+    assert Labeling(word, 5).labels().tolist() == [1, 0, 0, 1, 1]
 
 
 # --- mu evaluation ----------------------------------------------------------
@@ -69,19 +60,17 @@ def _trusted(ys):
 
 def test_mu_perfect_agreement():
     t = _trusted([0, 1, 1, 0])
-    assert evaluate_mu([0, 1, 1, 0], t).mu == 0.0
+    assert evaluate_mu([0, 1, 1, 0], t) == 0.0
 
 
 def test_mu_total_disagreement():
     t = _trusted([0, 1, 1, 0])
-    assert evaluate_mu([1, 0, 0, 1], t).mu == 1.0
+    assert evaluate_mu([1, 0, 0, 1], t) == 1.0
 
 
 def test_mu_one_of_five_wrong():
     t = _trusted([0, 0, 0, 0, 0])
-    res = evaluate_mu([1, 0, 0, 0, 0], t)
-    assert res.mu == 0.2
-    assert res.correct_count == 4
+    assert evaluate_mu([1, 0, 0, 0, 0], t) == 0.2
 
 
 def test_mu_length_mismatch_rejected():
@@ -103,9 +92,10 @@ def test_mu_permutation_equivariant(labels, data):
 def test_mu_lives_on_the_k_over_m_grid(labels, data):
     m = len(labels)
     preds = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
-    res = evaluate_mu(preds, _trusted(labels))
-    assert res.mu in {k / m for k in range(m + 1)}
-    assert Fraction(m - res.correct_count, m) == Fraction(res.mu).limit_denominator(m)
+    mu = evaluate_mu(preds, _trusted(labels))
+    assert mu in {k / m for k in range(m + 1)}
+    errors = sum(p != y for p, y in zip(preds, labels))
+    assert Fraction(errors, m) == Fraction(mu).limit_denominator(m)
 
 
 # --- type validation --------------------------------------------------------
@@ -185,7 +175,6 @@ def test_ground_truth_is_optional():
     del doc["ground_truth_B"]
     loaded = task_from_dict(doc)
     assert loaded.ground_truth is None
-    assert loaded.ground_truth_labeling() is None
 
 
 def test_task_document_missing_field_rejected():
@@ -201,4 +190,4 @@ def test_task_dict_round_trip(task):
     again = task_from_dict(task_to_dict(task))
     assert np.array_equal(again.pool.x, task.pool.x)
     assert np.array_equal(again.trusted.y, task.trusted.y)
-    assert again.ground_truth_labeling() == task.ground_truth_labeling()
+    assert np.array_equal(again.ground_truth, task.ground_truth)

@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 from labelsearch import (
     CostLedger,
     SpeedupRegime,
-    accelerated_runtime,
     classical_runtime,
     grover_queries,
     perf_per_cost,
@@ -43,21 +42,25 @@ def test_classical_rejects_bad_inputs():
         classical_runtime(3, 0.0)
 
 
-# --- accelerated runtime ----------------------------------------------------
+# --- accelerated runtime (constant regime) ---------------------------------
+
+def _constant(n, t_c, speedup):
+    return regime_runtime(n, t_c, SpeedupRegime.constant(speedup))
+
 
 def test_accelerated_example_values():
-    assert accelerated_runtime(10, 0.001, 4.0) == 0.256
-    assert accelerated_runtime(20, 0.001, 2.0**20) == 0.001
+    assert _constant(10, 0.001, 4.0) == 0.256
+    assert _constant(20, 0.001, 2.0**20) == 0.001
 
 
 def test_accelerated_speedup_one_is_classical():
     for n in range(0, 30, 3):
-        assert accelerated_runtime(n, 0.002, 1.0) == classical_runtime(n, 0.002)
+        assert _constant(n, 0.002, 1.0) == classical_runtime(n, 0.002)
 
 
 def test_accelerated_rejects_slowdowns():
     with pytest.raises(ValueError):
-        accelerated_runtime(4, 1.0, 0.5)
+        _constant(4, 1.0, 0.5)
 
 
 def test_accelerated_times_speedup_recovers_classical_exactly():
@@ -65,14 +68,14 @@ def test_accelerated_times_speedup_recovers_classical_exactly():
     for n in (0, 5, 40, 63):
         t_c = Fraction(17, 1000)
         speedup = Fraction(49, 8)
-        assert accelerated_runtime(n, t_c, speedup) * speedup == classical_runtime(n, t_c)
+        assert _constant(n, t_c, speedup) * speedup == classical_runtime(n, t_c)
     # float path is exact whenever the division is (powers of two)
-    assert accelerated_runtime(12, 0.003, 64.0) * 64.0 == classical_runtime(12, 0.003)
+    assert _constant(12, 0.003, 64.0) * 64.0 == classical_runtime(12, 0.003)
 
 
 @given(st.integers(0, 50), st.floats(1e-6, 1e3), st.floats(1.0, 1e9))
 def test_accelerated_times_speedup_recovers_classical_float(n, t_c, speedup):
-    assert accelerated_runtime(n, t_c, speedup) * speedup == pytest.approx(
+    assert _constant(n, t_c, speedup) * speedup == pytest.approx(
         classical_runtime(n, t_c), rel=1e-12
     )
 
@@ -87,11 +90,7 @@ def test_regime_constructors_validate_parameters():
     with pytest.raises(ValueError):
         SpeedupRegime.exponential(1.5)
     with pytest.raises(ValueError):
-        SpeedupRegime(kind="constant", l0=2.0, alpha=1.0)
-    with pytest.raises(ValueError):
-        SpeedupRegime(kind="polynomial")
-    with pytest.raises(ValueError):
-        SpeedupRegime(kind="warp", l0=1.0)
+        SpeedupRegime(kind="warp", value=1.0)
 
 
 def test_exponential_rate_one_cancels_everything():

@@ -57,7 +57,7 @@ def test_wide_separation_ground_truth_scores_zero():
     task = generate_task(TaskSpec(m=8, n=12, d=2, separation=10.0, noise_sigma=1.0, seed=6))
     for kind in ("centroid", "onenn"):
         state = fit(task.pool, task.ground_truth, kind)
-        assert evaluate_mu(predict(state, task.trusted), task.trusted).mu == 0.0
+        assert evaluate_mu(predict(state, task.trusted), task.trusted) == 0.0
 
 
 def test_same_seed_gives_byte_identical_task_json():
@@ -163,7 +163,7 @@ def test_joint_report_exhaustive_dominates_everything():
         st = self_training_baseline(task, kind, confidence_quantile=0.5, max_rounds=10)
         for labels in (task.ground_truth, np.asarray(st["induced_labels_B"], dtype=np.int8)):
             state = fit(task.pool, labels, kind)
-            mu = evaluate_mu(predict(state, task.trusted), task.trusted).mu
+            mu = evaluate_mu(predict(state, task.trusted), task.trusted)
             assert best.best_mu <= mu
 
 

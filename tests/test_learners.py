@@ -11,7 +11,6 @@ from labelsearch import (
     evaluate_mu,
     fit,
     generate_task,
-    labeling_from_array,
     predict,
 )
 from labelsearch.learners import _make_evaluator, nearest_pool_index, predict_points, squared_distances
@@ -214,8 +213,7 @@ def test_predict_separable_blobs_reach_zero_error():
     a_x = centers[a_labels] + rng.uniform(-0.5, 0.5, size=(4, 2))
     for kind in ("centroid", "onenn"):
         state = fit(UnlabeledPool(pool_x), pool_labels, kind)
-        result = evaluate_mu(predict(state, TrustedSet(a_x, a_labels)), TrustedSet(a_x, a_labels))
-        assert result.mu == 0.0
+        assert evaluate_mu(predict(state, TrustedSet(a_x, a_labels)), TrustedSet(a_x, a_labels)) == 0.0
     # direct distance verification: each A point is nearer its own centroid
     c0 = pool_x[pool_labels == 0].mean(axis=0)
     c1 = pool_x[pool_labels == 1].mean(axis=0)
@@ -233,12 +231,12 @@ def test_label_swap_symmetry(task, kind, data):
     mu = evaluate_mu(
         predict(fit(task.pool, Labeling(word, task.n), kind), task.trusted),
         task.trusted,
-    ).mu
+    )
     swapped_trusted = TrustedSet(task.trusted.x, 1 - task.trusted.y)
     mu_swapped = evaluate_mu(
         predict(fit(task.pool, Labeling(swapped_word, task.n), kind), swapped_trusted),
         swapped_trusted,
-    ).mu
+    )
     assert mu == mu_swapped
 
 

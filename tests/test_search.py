@@ -17,27 +17,29 @@ from labelsearch import (
     error_counts_for_words,
     exhaustive_search,
     generate_task,
-    gray_sequence,
     heuristic_search,
 )
 from labelsearch import search
-from labelsearch.search import GrayCursor, ARGMIN_CAP
+from labelsearch.search import ARGMIN_CAP
 
-from conftest import learner_kinds, small_tasks
-from oracles import naive_best, naive_error_counts, onenn_closed_form
+from conftest import learner_kinds, ruler_walk, small_tasks
+from oracles import inverse_gray, naive_best, naive_error_counts, onenn_closed_form, pack_word
 
 
 # --- Gray enumeration -------------------------------------------------------
+#
+# The sweep's only Gray code is the ruler behind ``_gray_flip_blocks``;
+# these tests walk it from word 0.
 
 def test_gray_sequence_n2_is_the_reflected_order():
-    seq = list(gray_sequence(2))
-    assert [lab.bits for _, lab in seq] == [0b00, 0b01, 0b11, 0b10]
-    assert [flip for flip, _ in seq] == [None, 0, 1, 0]
+    flips, words = ruler_walk(2)
+    assert words.tolist() == [0b00, 0b01, 0b11, 0b10]
+    assert flips.tolist() == [0, 1, 0]
 
 
 def test_gray_sequence_n3_single_bit_transitions():
-    seq = list(gray_sequence(3))
-    words = [lab.bits for _, lab in seq]
+    _, words = ruler_walk(3)
+    words = words.tolist()
     assert len(set(words)) == 8
     for prev, cur in zip(words, words[1:]):
         assert bin(prev ^ cur).count("1") == 1
@@ -45,40 +47,33 @@ def test_gray_sequence_n3_single_bit_transitions():
 
 @given(st.integers(1, 12))
 def test_gray_sequence_is_a_bijection(n):
-    words = [lab.bits for _, lab in gray_sequence(n)]
-    assert sorted(words) == list(range(1 << n))
+    _, words = ruler_walk(n)
+    assert sorted(words.tolist()) == list(range(1 << n))
     assert words[0] == 0
 
 
 @given(st.integers(1, 16), st.data())
 def test_gray_cursor_closed_form(n, data):
+    # the cursor is the position in the ruler walk
     step = data.draw(st.integers(0, (1 << n) - 1))
-    cursor = GrayCursor(n, step)
-    assert cursor.current_word == (step ^ (step >> 1)) & ((1 << n) - 1)
+    flips, words = ruler_walk(n)
+    word = int(words[step])
+    assert word == step ^ (step >> 1)
+    assert int(inverse_gray(words[step : step + 1], n)[0]) == step
     if step + 1 < (1 << n):
-        before = cursor.current_word
-        flip, word = cursor.advance()
-        assert word == before ^ (1 << flip)
+        assert int(words[step + 1]) == word ^ (1 << int(flips[step]))
 
 
 @pytest.mark.parametrize("bits", range(1, 17))
 def test_gray_flip_blocks_follow_the_cursor(bits):
-    # past 12 bits the 4095-step ruler repeats between higher-bit flips
-    cursor = GrayCursor(bits)
-    expected = bytes(cursor.advance()[0] for _ in range((1 << bits) - 1))
+    # past 12 bits the 4095-step ruler repeats between higher-bit flips;
+    # the cursor is the closed form: step s flips the one bit in which
+    # the codes of s - 1 and s differ
+    def code(step):
+        return step ^ (step >> 1)
+
+    expected = bytes((code(s) ^ code(s - 1)).bit_length() - 1 for s in range(1, 1 << bits))
     assert b"".join(search._gray_flip_blocks(bits)) == expected
-
-
-def test_gray_cursor_exhaustion_and_range_errors():
-    cursor = GrayCursor(2, 3)
-    with pytest.raises(ValueError):
-        cursor.advance()
-    with pytest.raises(ValueError):
-        GrayCursor(0)
-    with pytest.raises(ValueError):
-        GrayCursor(33)
-    with pytest.raises(ValueError):
-        list(gray_sequence(0))
 
 
 # --- exhaustive search ------------------------------------------------------
@@ -87,7 +82,7 @@ def test_exhaustive_contains_ground_truth_on_separable_task():
     task = generate_task(TaskSpec(m=6, n=4, d=2, separation=12.0, noise_sigma=1.0, seed=4))
     out = exhaustive_search(task, "centroid")
     assert out.best_mu == 0.0
-    assert task.ground_truth_labeling().bits in {lab.bits for lab in out.argmin_labelings}
+    assert pack_word(task.ground_truth) in {lab.bits for lab in out.argmin_labelings}
 
 
 def test_exhaustive_evaluation_count_is_two_to_the_n():
@@ -303,13 +298,36 @@ def test_heuristics_never_beat_exhaustive(task, kind, data):
     assert np.all(error_counts_for_words(task, words, kind) == round(out.best_mu * task.m))
 
 
+def _constant_objective_task(n):
+    # two coincident trusted points with opposite labels force one error
+    # under any prediction, so every labeling word is an optimum
+    pool = UnlabeledPool(np.arange(n, dtype=float)[:, None])
+    trusted = TrustedSet(np.array([[0.5], [0.5]]), np.array([0, 1], dtype=np.int8))
+    return Task(trusted=trusted, pool=pool)
+
+
+@pytest.mark.parametrize("heuristic", ["random", "greedy-flip", "anneal"])
+@pytest.mark.parametrize("kind", ["centroid", "onenn"])
+def test_heuristic_argmin_count_is_exact_below_the_cap(heuristic, kind):
+    # n <= 10 has at most ARGMIN_CAP words, so the list never overflows and
+    # a revisited optimum must not count twice; on the constant task every
+    # word is an optimum, so the walks revisit optima many times
+    tasks = [_constant_objective_task(10)] + [
+        generate_task(TaskSpec(m=5, n=n, d=2, separation=0.5, noise_sigma=1.0, seed=n)) for n in (3, 6, 10)
+    ]
+    config = HeuristicConfig(kind=heuristic, budget=5000, restarts=400, rng_seed=3)
+    for task in tasks:
+        out = heuristic_search(task, kind, config)
+        assert out.argmin_count == len(out.argmin_labelings)
+
+
 @given(small_tasks(max_n=10))
 @settings(max_examples=25)
 def test_optimum_never_above_ground_truth_score(task):
-    truth = task.ground_truth_labeling()
+    truth = pack_word(task.ground_truth)
     for kind in ("centroid", "onenn"):
         exact = exhaustive_search(task, kind)
-        truth_errors = error_counts_for_words(task, [truth.bits], kind)[0]
+        truth_errors = error_counts_for_words(task, [truth], kind)[0]
         assert exact.best_mu <= truth_errors / task.m
 
 
