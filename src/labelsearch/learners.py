@@ -186,6 +186,55 @@ def predict(state: LearnerState, trusted: TrustedSet) -> np.ndarray:
     return predict_points(state, trusted.x)
 
 
+# --- byte tables ------------------------------------------------------------
+#
+# Batch scoring splits each word into bytes: byte j holds the labels of
+# pool rows 8j..8j+7.  For each byte, a table holds the subset sums of
+# those rows' values for all 256 byte values, so the sum over a word's
+# set bits is one gather and one add per byte.
+
+def _byte_subset_sums(values: np.ndarray) -> np.ndarray:
+    """(bytes, columns, 256) subset sums of the (n, columns) per-row
+    values: entry s of byte j sums the rows 8j + b for the set bits b of
+    s, added in ascending b onto a zero.  Rows past n count as zeros."""
+    n, width = values.shape
+    nbytes = -(-n // 8)
+    rows = np.zeros((nbytes * 8, width), dtype=values.dtype)
+    rows[:n] = values
+    rows = rows.reshape(nbytes, 8, width).transpose(0, 2, 1)
+    tables = np.zeros((nbytes, width, 256), dtype=values.dtype)
+    for b in range(8):
+        tables[:, :, 1 << b : 2 << b] = tables[:, :, : 1 << b] + rows[:, :, b, None]
+    return tables
+
+
+def _sum_byte_tables(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(columns, len(words)) sums of each word's byte-table entries,
+    added in ascending byte order."""
+    nbytes, width, _ = tables.shape
+    index = np.empty((nbytes, words.shape[0]), dtype=np.intp)
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    np.copyto(index, octets[:, :nbytes].T)
+    acc = np.empty((width, words.shape[0]), dtype=tables.dtype)
+    for k in range(width):
+        acc[k] = tables[0, k][index[0]]
+        for j in range(1, nbytes):
+            acc[k] += tables[j, k][index[j]]
+    return acc
+
+
+def _column_distances(columns: np.ndarray, point: list[float], acc: np.ndarray, diff: np.ndarray) -> None:
+    """Write into ``acc`` the ``squared_distances`` to ``point`` of the
+    points whose coordinate k is row k of ``columns``, with the same
+    operations in the same order; ``diff`` is scratch space."""
+    np.subtract(columns[0], point[0], out=acc)
+    np.multiply(acc, acc, out=acc)
+    for k in range(1, len(point)):
+        np.subtract(columns[k], point[k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(acc, diff, out=acc)
+
+
 # --- evaluators -------------------------------------------------------------
 #
 # An evaluator holds one labeling word of the pool and the learner state
@@ -208,6 +257,11 @@ class _CentroidEvaluator:
     where numpy rows of length d would cost more per call than the
     arithmetic.  ``errors`` divides the sums in Python and does the same
     IEEE operations, in the same order, on contiguous trusted columns.
+
+    The batch path gathers each word's class sums and class-1 count from
+    per-byte subset tables, divides them into contiguous centroid
+    columns and scores those with the operations of
+    ``squared_distances``: no bit matrix and no BLAS call.
     """
 
     def __init__(self, pool_x, ax, ay):
@@ -220,7 +274,11 @@ class _CentroidEvaluator:
         self._rows = [tuple(row) for row in pool_x.tolist()]
         self._columns = [np.ascontiguousarray(ax[:, k]) for k in range(ax.shape[1])]
         self._is_one = ay == 1
-        self._shifts = np.arange(pool_x.shape[0], dtype=np.uint64)
+        self._points = ax.tolist()
+        # rows 0..d-1 class-0 sums, d..2d-1 class-1 sums, 2d the class-1
+        # count, for every byte value of every byte of the word
+        ones = _byte_subset_sums(np.column_stack([pool_x, np.ones(pool_x.shape[0])]))
+        self._tables = np.concatenate([ones[:, :-1, ::-1], ones], axis=1)
         self._errors_y0 = int(np.count_nonzero(ay == 0))
         self._errors_y1 = ay.shape[0] - self._errors_y0
 
@@ -264,18 +322,27 @@ class _CentroidEvaluator:
         return int(np.count_nonzero((d1 < d0) != self._is_one))  # tie -> class 0
 
     def errors_for_words(self, words: np.ndarray) -> np.ndarray:
-        bits = ((words[:, None] >> self._shifts[None, :]) & np.uint64(1)).astype(np.float64)
-        sums1 = bits @ self.pool_x
-        sums0 = (1.0 - bits) @ self.pool_x
-        counts1 = bits.sum(axis=1)
+        d = self.pool_x.shape[1]
+        sums = _sum_byte_tables(self._tables, words)
+        counts1 = sums[2 * d]
         counts0 = self.pool_x.shape[0] - counts1
-        errs = np.zeros(words.shape[0], dtype=np.int64)
+        # start from every trusted point predicted 0, then count each
+        # class-1 prediction as one error more or one fewer
+        wrong = np.full(words.shape[0], self._errors_y1, dtype=np.int32)
+        d0, d1, diff = (np.empty(words.shape[0]) for _ in range(3))
+        pred1 = np.empty(words.shape[0], dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
-            c0 = sums0 / counts0[:, None]
-            c1 = sums1 / counts1[:, None]
-            for point, label in zip(self.ax, self.ay):
-                pred1 = squared_distances(c1, point) < squared_distances(c0, point)  # tie -> class 0
-                errs += pred1 != (label == 1)
+            c0 = sums[:d] / counts0
+            c1 = sums[d : 2 * d] / counts1
+            for point, is_one in zip(self._points, self._is_one.tolist()):
+                _column_distances(c0, point, d0, diff)
+                _column_distances(c1, point, d1, diff)
+                np.less(d1, d0, out=pred1)  # tie -> class 0
+                if is_one:
+                    np.subtract(wrong, pred1, out=wrong)
+                else:
+                    np.add(wrong, pred1, out=wrong)
+        errs = wrong.astype(np.int64)
         # degenerate single-class labelings predict the nonempty class
         errs[counts1 == 0] = self._errors_y1
         errs[counts0 == 0] = self._errors_y0
@@ -290,8 +357,9 @@ class _OneNNEvaluator:
     per-item class tallies: y0[i] and y1[i] count the trusted points of
     class 0 and 1 whose nearest pool item is i.  A word's error count is
     then ``sum(y1) + sum over set bits i of (y0[i] - y1[i])``, so a flip
-    updates it in O(1).  The tallies are Python ints: numpy scalars
-    would cost more per flip than the update itself.
+    updates it in O(1), and a batch adds one byte-table entry of summed
+    gains per byte of the word.  The tallies are Python ints: numpy
+    scalars would cost more per flip than the update itself.
     """
 
     def __init__(self, pool_x, ax, ay):
@@ -302,10 +370,11 @@ class _OneNNEvaluator:
         self.word = 0
         self._errors = 0
         self._delta: list[int] = []
-        # errors of the all-zeros word, and the change from setting bit i
-        # for every item whose tallies differ
+        # errors of the all-zeros word, and the summed change from
+        # setting the bits of each byte value
         self._base = sum(self._y1)
-        self._gains = [(np.uint64(i), y0 - y1) for i, (y0, y1) in enumerate(zip(self._y0, self._y1)) if y0 != y1]
+        gains = np.subtract(self._y0, self._y1, dtype=np.int64)
+        self._tables = _byte_subset_sums(gains[:, None])
 
     def reset(self, word: int) -> int:
         self.word = word
@@ -326,11 +395,7 @@ class _OneNNEvaluator:
         return self._errors
 
     def errors_for_words(self, words: np.ndarray) -> np.ndarray:
-        errs = np.full(words.shape[0], self._base, dtype=np.int64)
-        one = np.uint64(1)
-        for shift, gain in self._gains:
-            errs += ((words >> shift) & one).view(np.int64) * gain
-        return errs
+        return self._base + _sum_byte_tables(self._tables, words)[0]
 
 
 def _make_evaluator(kind: str, pool_x, ax, ay):

@@ -305,16 +305,24 @@ def exhaustive_search(
 def error_counts_for_words(task: Task, words, learner_kind: str = CENTROID) -> np.ndarray:
     """Trusted-set error count of each labeling word, evaluated in batches.
 
-    Matches per-word fit-and-predict exactly on dyadic-grid coordinates
-    (the generator's output); on arbitrary float data the class sums may
-    differ from a refit by one rounding, so knife-edge distance ties
-    could in principle diverge.
+    Each word is split into bytes and its class sums (centroid) or its
+    per-item gains (one-NN) are gathered from per-byte tables of all 256
+    subsets and added in a fixed order, with no BLAS call, so the
+    result is the same on every machine.  It matches per-word
+    fit-and-predict exactly on dyadic-grid coordinates (the generator's
+    output); on arbitrary float data the class sums may differ from a
+    refit by one rounding, so knife-edge distance ties could in
+    principle diverge.  A word with a bit at or above ``task.n`` is
+    refused with ``ValueError``.
     """
     _check_kind(learner_kind)
     n = task.n
     if n > MAX_LABELING_BITS:
         raise ValueError(f"pool size {n} exceeds the {MAX_LABELING_BITS}-bit labeling bound")
     words = np.asarray(words, dtype=np.uint64)
+    outside = np.flatnonzero(words >> np.uint64(n))
+    if outside.size:
+        raise ValueError(f"word {int(words[outside[0]])} has bits at or above the pool size n={n}")
     evaluator = _make_evaluator(learner_kind, task.pool.x, task.trusted.x, task.trusted.y)
     out = np.empty(words.shape[0], dtype=np.int64)
     for start in range(0, words.shape[0], _WORD_CHUNK):
@@ -355,6 +363,80 @@ class HeuristicConfig:
             raise ValueError("temperature decay must lie strictly between 0 and 1")
 
 
+class _ReplayedDraws:
+    """Scalar ``integers(0, k)`` and ``random()`` calls of a PCG64
+    ``Generator``, replayed from blocks of its raw output.
+
+    A scalar call into numpy costs more than an annealing step's own
+    work.  The replay reads ``random_raw``
+    blocks and applies numpy's algorithms to them: ``integers`` is
+    Lemire's bounded method ("Fast Random Integer Generation in an
+    Interval", ACM TOMACS 2019) on the 32-bit halves the bit generator
+    buffers (``has_uint32``/``uinteger``), with k == 1 giving 0 without
+    a draw, and ``random`` is ``(raw >> 11) * 2**-53``.  As a context
+    manager it takes the generator over on entry; on exit it restores
+    the saved state, advances it by the raw outputs used and sets the
+    buffered half, so the generator ends where the scalar calls would
+    have left it and the values drawn are theirs.
+    """
+
+    _BLOCK = 1024
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+
+    def __enter__(self) -> "_ReplayedDraws":
+        self._saved = self._bitgen.state
+        self._has_half = self._saved["has_uint32"]
+        self._half = self._saved["uinteger"]
+        self._raw: list[int] = []
+        self._pos = 0
+        self._skipped = 0  # raw outputs in the blocks before ``_raw``
+        return self
+
+    def __exit__(self, *exc) -> None:
+        bitgen = self._bitgen
+        bitgen.state = self._saved
+        bitgen.advance(self._skipped + self._pos)
+        state = bitgen.state
+        state["has_uint32"] = self._has_half
+        state["uinteger"] = self._half
+        bitgen.state = state
+
+    def _next64(self) -> int:
+        if self._pos == len(self._raw):
+            self._skipped += self._pos
+            self._raw = self._bitgen.random_raw(self._BLOCK).tolist()
+            self._pos = 0
+        raw = self._raw[self._pos]
+        self._pos += 1
+        return raw
+
+    def _next32(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        raw = self._next64()
+        self._has_half = 1
+        self._half = raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def integers(self, k: int) -> int:
+        """``int(Generator.integers(0, k))`` for 1 <= k <= 2**32."""
+        if k == 1:
+            return 0
+        scaled = self._next32() * k
+        if (scaled & 0xFFFFFFFF) < k:
+            threshold = (0x100000000 - k) % k
+            while (scaled & 0xFFFFFFFF) < threshold:
+                scaled = self._next32() * k
+        return scaled >> 32
+
+    def random(self) -> float:
+        """``Generator.random()``."""
+        return (self._next64() >> 11) * 2.0**-53
+
+
 def _greedy_walk(evaluator, n, config, tracker, rng) -> int:
     """First-improvement greedy: scan flips in index order, take the first
     strictly improving one; restart from a random word at local optima.
@@ -375,7 +457,8 @@ def _greedy_walk(evaluator, n, config, tracker, rng) -> int:
                 candidate = word ^ (1 << i)
                 cand_err = evaluator.errors()
                 evals += 1
-                tracker.offer(candidate, cand_err)
+                if cand_err <= tracker.best:
+                    tracker.offer(candidate, cand_err)
                 if cand_err < err:
                     word, err = candidate, cand_err
                     improved = True
@@ -389,10 +472,13 @@ def _greedy_walk(evaluator, n, config, tracker, rng) -> int:
 
 def _anneal_walk(evaluator, n, config, tracker, rng) -> int:
     """Single-flip annealing; a worse move costing ``delta`` extra errors
-    is accepted with probability exp(-delta / T)."""
+    is accepted with probability exp(-delta / T).  The steps draw from
+    ``rng`` through ``_ReplayedDraws``, with the values of scalar
+    ``rng.integers(0, n)`` and ``rng.random()`` calls."""
     evals = 0
     starts = 0
     per_restart = max(1, config.budget // config.restarts)
+    draws = _ReplayedDraws(rng)
     while evals < config.budget and starts < config.restarts:
         word = int(rng.integers(0, 1 << n, dtype=np.uint64))
         err = evaluator.reset(word)
@@ -400,20 +486,22 @@ def _anneal_walk(evaluator, n, config, tracker, rng) -> int:
         tracker.offer(word, err)
         temperature = config.initial_temp
         steps = 1
-        while steps < per_restart and evals < config.budget:
-            i = int(rng.integers(0, n))
-            evaluator.flip(i)
-            candidate = word ^ (1 << i)
-            cand_err = evaluator.errors()
-            evals += 1
-            steps += 1
-            tracker.offer(candidate, cand_err)
-            delta = cand_err - err
-            if delta <= 0 or (temperature > 0.0 and rng.random() < math.exp(-delta / temperature)):
-                word, err = candidate, cand_err
-            else:
+        with draws:
+            while steps < per_restart and evals < config.budget:
+                i = draws.integers(n)
                 evaluator.flip(i)
-            temperature *= config.decay
+                candidate = word ^ (1 << i)
+                cand_err = evaluator.errors()
+                evals += 1
+                steps += 1
+                if cand_err <= tracker.best:
+                    tracker.offer(candidate, cand_err)
+                delta = cand_err - err
+                if delta <= 0 or (temperature > 0.0 and draws.random() < math.exp(-delta / temperature)):
+                    word, err = candidate, cand_err
+                else:
+                    evaluator.flip(i)
+                temperature *= config.decay
         starts += 1
     return evals
 

@@ -125,6 +125,39 @@ class NumpyRowCentroidEvaluator:
         return int(np.count_nonzero(pred != self.ay))
 
 
+def scalar_draw_anneal_walk(evaluator, n, config, tracker, rng):
+    """The annealing walk with numpy's scalar draws: every proposal calls
+    ``rng.integers(0, n)``, every uphill move ``rng.random()``, and every
+    candidate is offered to the tracker.  The library's walk must give
+    the same outcome and leave ``rng`` in the same state."""
+    evals = 0
+    starts = 0
+    per_restart = max(1, config.budget // config.restarts)
+    while evals < config.budget and starts < config.restarts:
+        word = int(rng.integers(0, 1 << n, dtype=np.uint64))
+        err = evaluator.reset(word)
+        evals += 1
+        tracker.offer(word, err)
+        temperature = config.initial_temp
+        steps = 1
+        while steps < per_restart and evals < config.budget:
+            i = int(rng.integers(0, n))
+            evaluator.flip(i)
+            candidate = word ^ (1 << i)
+            cand_err = evaluator.errors()
+            evals += 1
+            steps += 1
+            tracker.offer(candidate, cand_err)
+            delta = cand_err - err
+            if delta <= 0 or (temperature > 0.0 and rng.random() < math.exp(-delta / temperature)):
+                word, err = candidate, cand_err
+            else:
+                evaluator.flip(i)
+            temperature *= config.decay
+        starts += 1
+    return evals
+
+
 def ols_slope(xs, ys):
     """Least-squares slope via the closed form, independent of the library."""
     xs = [float(x) for x in xs]

@@ -20,10 +20,18 @@ from labelsearch import (
     heuristic_search,
 )
 from labelsearch import search
+from labelsearch.learners import _make_evaluator
 from labelsearch.search import ARGMIN_CAP
 
 from conftest import learner_kinds, ruler_walk, small_tasks
-from oracles import inverse_gray, naive_best, naive_error_counts, onenn_closed_form, pack_word
+from oracles import (
+    inverse_gray,
+    naive_best,
+    naive_error_counts,
+    onenn_closed_form,
+    pack_word,
+    scalar_draw_anneal_walk,
+)
 
 
 # --- Gray enumeration -------------------------------------------------------
@@ -226,7 +234,92 @@ def test_batched_word_scores_match_per_word_refits(task, kind):
     assert np.array_equal(error_counts_for_words(task, words, kind), naive_error_counts(task, kind))
 
 
+@pytest.mark.parametrize("n", [5, 40, 63])
+@pytest.mark.parametrize("kind", ["centroid", "onenn"])
+def test_batch_scoring_refuses_words_outside_the_pool(kind, n):
+    task = generate_task(TaskSpec(m=6, n=n, d=2, separation=1.0, noise_sigma=1.0, seed=n))
+    # (1 << n) | 3 at n = 5 is word 35, which used to score as word 3
+    outside = [1 << n, (1 << n) | 3, 1 << 63] + ([1 << 62] if n < 62 else [])
+    for word in outside:
+        with pytest.raises(ValueError, match=f"word {word} has bits at or above the pool size n={n}"):
+            error_counts_for_words(task, [0, (1 << n) - 1, word, 1 << 63], kind)
+    assert error_counts_for_words(task, [0, (1 << n) - 1], kind).shape == (2,)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 40, 63])
+@pytest.mark.parametrize("kind", ["centroid", "onenn"])
+def test_byte_table_batch_at_byte_boundaries(kind, n):
+    # the byte tables split words at multiples of 8 bits; a pool that ends
+    # just before, on or after such a boundary must score every word as
+    # the evaluator's own per-word reset and, where 2**n is small, as a
+    # refit from scratch
+    for d in range(1, 5):
+        task = generate_task(TaskSpec(m=9, n=n, d=d, separation=1.0, noise_sigma=1.0, seed=100 * n + d))
+        rng = np.random.default_rng(n + d)
+        top = (1 << n) - 1
+        words = np.concatenate([
+            rng.integers(0, 1 << n, size=200, dtype=np.uint64),
+            np.array([0, top, 1 << (n - 1), top >> 1], dtype=np.uint64),
+            np.uint64(1) << np.arange(n, dtype=np.uint64),
+            np.uint64(top) ^ (np.uint64(1) << np.arange(n, dtype=np.uint64)),
+        ])
+        evaluator = _make_evaluator(kind, task.pool.x, task.trusted.x, task.trusted.y)
+        assert error_counts_for_words(task, words, kind).tolist() == [evaluator.reset(int(w)) for w in words]
+        if n <= 9:
+            every = np.arange(1 << n, dtype=np.uint64)
+            assert np.array_equal(error_counts_for_words(task, every, kind), naive_error_counts(task, kind))
+
+
 # --- heuristics -------------------------------------------------------------
+
+_REPLAY_BOUNDS = [1, 2, 3, 40, 63, 2**31 + 11, 2**32]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_replayed_draws_match_numpy_scalar_calls(seed):
+    # the same calls on two generators of one seed: scalar numpy calls on
+    # one, the replay on the other, with uint64 start-word draws through
+    # numpy itself in between, at widths that use the buffered 32-bit half
+    # (n <= 32) and the full 64-bit output (n > 32)
+    scalar = np.random.default_rng(seed)
+    replayed = np.random.default_rng(seed)
+    plan = np.random.default_rng(1000 + seed)
+    draws = search._ReplayedDraws(replayed)
+    for width in (1, 17, 32, 33, 40, 63):
+        assert int(scalar.integers(0, 1 << width, dtype=np.uint64)) == int(
+            replayed.integers(0, 1 << width, dtype=np.uint64))
+        calls = [int(k) if plan.random() < 0.6 else None
+                 for k in plan.choice(_REPLAY_BOUNDS, size=int(plan.integers(0, 2500)))]
+        expected = [float(scalar.random()) if k is None else int(scalar.integers(0, k)) for k in calls]
+        with draws:
+            got = [draws.random() if k is None else draws.integers(k) for k in calls]
+        assert got == expected
+        assert replayed.bit_generator.state == scalar.bit_generator.state
+    assert float(replayed.random()) == float(scalar.random())
+
+
+@pytest.mark.parametrize("kind", ["centroid", "onenn"])
+def test_anneal_matches_the_scalar_draw_walk(kind):
+    plan = np.random.default_rng(77)
+    for case in range(40):
+        n = 1 + case * 62 // 39
+        task = generate_task(TaskSpec(m=int(plan.integers(1, 12)), n=n, d=int(plan.integers(1, 5)),
+                                      separation=1.0, noise_sigma=1.0, seed=case))
+        config = HeuristicConfig(
+            kind="anneal", budget=int(plan.integers(1, 900)), restarts=int(plan.integers(1, 7)),
+            initial_temp=float(plan.choice([1e-300, 1e-3, 0.5, 2.0])), decay=float(plan.choice([0.5, 0.95, 0.999])),
+            rng_seed=case,
+        )
+        outcomes = []
+        for walk in (search._anneal_walk, scalar_draw_anneal_walk):
+            evaluator = _make_evaluator(kind, task.pool.x, task.trusted.x, task.trusted.y)
+            tracker = search._DedupeTracker()
+            rng = np.random.default_rng(config.rng_seed)
+            evals = walk(evaluator, n, config, tracker, rng)
+            outcomes.append((evals, tracker.best, tracker.count, tracker.sorted_words(), evaluator.word,
+                             rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1], (case, config)
+
 
 def test_greedy_from_all_zeros_local_optimum_eval_count():
     # all-zero labels are already perfect when the trusted set is all
