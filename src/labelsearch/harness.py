@@ -30,8 +30,6 @@ from .learners import (
 )
 from .search import DEFAULT_EXHAUSTIVE_CAP, _check_exhaustive_cap, _check_workers, exhaustive_search
 
-from concurrent.futures import ProcessPoolExecutor
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -162,8 +160,7 @@ def self_training_baseline(
     ``max_rounds`` rounds or once the pool is fully labeled.
 
     ``final_mu`` is scored on the trusted holdout half, which never
-    enters any fit (``holdout_clean`` records the index-disjointness
-    audit); it is None for a one-example trusted set.  The report also
+    enters any fit; it is None for a one-example trusted set.  The report also
     carries the full induced pool labeling: assigned pseudo-labels,
     with the final model's predictions filling any never-labeled rest.
     """
@@ -174,8 +171,6 @@ def self_training_baseline(
         raise ValueError("max_rounds must be at least 1")
 
     fit_half, holdout = split_trusted(task.trusted)
-    fit_rows = set(range(0, task.m, 2))
-    holdout_rows = set(range(1, task.m, 2))
     n = task.n
     labeled = np.zeros(n, dtype=bool)
     pseudo = np.full(n, -1, dtype=np.int8)
@@ -209,15 +204,11 @@ def self_training_baseline(
         rest = np.flatnonzero(~labeled)
         induced[rest] = predict_points(model, task.pool.x[rest])
 
-    # every fit above was built from fit_rows and pool rows only
-    holdout_clean = fit_rows.isdisjoint(holdout_rows)
-
     return {
         "final_mu": final_mu,
         "rounds": rounds,
         "labeled_fraction_per_round": fractions,
         "induced_labels_B": [int(v) for v in induced],
-        "holdout_clean": bool(holdout_clean),
     }
 
 
@@ -278,8 +269,8 @@ def scaling_experiment(
     One task per n (seed derived as template.seed + n), swept after a
     discarded warm-up at the smallest n; timings use the monotonic
     clock.  ``workers`` must lie in [1, ``search.MAX_WORKERS``]; with
-    more than one, a single process pool is reused for every n so
-    per-call overhead stays flat.
+    more than one, the sweep's persistent workers are forked by the
+    warm-up and serve every n, so per-call overhead stays flat.
     """
     _check_kind(learner_kind)
     ns = sorted(set(int(n) for n in n_values))
@@ -292,27 +283,22 @@ def scaling_experiment(
     def task_for(n: int) -> Task:
         return generate_task(replace(template, n=n, seed=template.seed + n))
 
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        # warm-up sweep: primes caches and the pool, result discarded
-        exhaustive_search(task_for(ns[0]), learner_kind, workers, cap, executor)
-        rows = []
-        for n in ns:
-            outcome = exhaustive_search(task_for(n), learner_kind, workers, cap, executor)
-            rows.append(
-                ScalingRow(
-                    n=n,
-                    evaluations=outcome.evaluations,
-                    best_mu=outcome.best_mu,
-                    total_time=outcome.elapsed,
-                    mean_eval_time=outcome.mean_eval_time,
-                    argmin_count=outcome.argmin_count,
-                    argmin_words=tuple(lab.bits for lab in outcome.argmin_labelings),
-                )
+    # warm-up sweep: primes caches and the workers, result discarded
+    exhaustive_search(task_for(ns[0]), learner_kind, workers, cap)
+    rows = []
+    for n in ns:
+        outcome = exhaustive_search(task_for(n), learner_kind, workers, cap)
+        rows.append(
+            ScalingRow(
+                n=n,
+                evaluations=outcome.evaluations,
+                best_mu=outcome.best_mu,
+                total_time=outcome.elapsed,
+                mean_eval_time=outcome.mean_eval_time,
+                argmin_count=outcome.argmin_count,
+                argmin_words=tuple(lab.bits for lab in outcome.argmin_labelings),
             )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+        )
 
     slope, stderr = fit_log2_slope([r.n for r in rows], [r.total_time for r in rows])
     return ScalingReport(rows=tuple(rows), fitted_slope=slope, slope_stderr=stderr, workers=workers)

@@ -13,7 +13,8 @@ Two learner kinds:
 labelings through one evaluator per learner instead, which serves the
 exhaustive sweep, the heuristics, batch scoring and chance-hit alike:
 it flips one bit at a time without retraining from scratch, and scores
-arrays of packed words in vectorized batches.
+arrays of packed words in vectorized batches.  The centroid evaluator
+also scores the sweep's blocks of consecutive words.
 
 Determinism rules, fixed here and relied on by every caller: distance
 comparisons use squared Euclidean distance; centroid distance ties
@@ -27,7 +28,9 @@ the two agree bit-for-bit on any data.  On coordinates from the
 generator's dyadic grid (see ``core.COORD_GRID``) all sums are exact in
 float64, so flip-updated states also match refit states bit-for-bit;
 on arbitrary float data a flip-updated state and a refit agree to about
-1e-9 relative.
+1e-9 relative.  A sweep block forms each word's class sums as the left
+fold of its rows in ascending pool index, so on any data a word scores
+the same in whichever block it falls.
 """
 
 from __future__ import annotations
@@ -186,26 +189,47 @@ def predict(state: LearnerState, trusted: TrustedSet) -> np.ndarray:
     return predict_points(state, trusted.x)
 
 
-# --- byte tables ------------------------------------------------------------
+# --- subset tables ----------------------------------------------------------
 #
-# Batch scoring splits each word into bytes: byte j holds the labels of
-# pool rows 8j..8j+7.  For each byte, a table holds the subset sums of
-# those rows' values for all 256 byte values, so the sum over a word's
-# set bits is one gather and one add per byte.
+# A subset table holds, for every subset of a few pool rows, the sum of
+# those rows' values, each added in ascending row order onto a zero.
+# Batch scoring splits each word into bytes (byte j holds the labels of
+# pool rows 8j..8j+7) and reads one 256-entry table per byte, so the sum
+# over a word's set bits is one gather and one add per byte.  The
+# centroid sweep reads one table of the low ``_BLOCK_BITS`` rows.
+
+#: Width of the centroid sweep's low-bit table, in bits: a sweep block
+#: scores 2**9 words.  Wider blocks cost less per word on large pools,
+#: but on pools of fewer than 2**12 items they spread each block's fixed
+#: cost over fewer words than on larger pools, and the time per labeling
+#: would then depend on n.
+_BLOCK_BITS = 9
+
+#: Distances computed per numpy call when scoring class-sum columns:
+#: 2**14 float64 values, 128 KiB, stay in L2.
+_SCORE_CELLS = 1 << 14
+
+
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """(..., columns, 2**b) subset sums of (..., b, columns) rows: entry
+    s sums the rows of the set bits of s, added in ascending bit order
+    onto a zero."""
+    *lead, bits, width = rows.shape
+    tables = np.empty((*lead, width, 1 << bits), dtype=rows.dtype)
+    tables[..., 0] = 0
+    for b in range(bits):
+        np.add(tables[..., : 1 << b], rows[..., b, :, None], out=tables[..., 1 << b : 2 << b])
+    return tables
+
 
 def _byte_subset_sums(values: np.ndarray) -> np.ndarray:
     """(bytes, columns, 256) subset sums of the (n, columns) per-row
-    values: entry s of byte j sums the rows 8j + b for the set bits b of
-    s, added in ascending b onto a zero.  Rows past n count as zeros."""
+    values, one table per byte of the word.  Rows past n count as zeros."""
     n, width = values.shape
     nbytes = -(-n // 8)
     rows = np.zeros((nbytes * 8, width), dtype=values.dtype)
     rows[:n] = values
-    rows = rows.reshape(nbytes, 8, width).transpose(0, 2, 1)
-    tables = np.zeros((nbytes, width, 256), dtype=values.dtype)
-    for b in range(8):
-        tables[:, :, 1 << b : 2 << b] = tables[:, :, : 1 << b] + rows[:, :, b, None]
-    return tables
+    return _subset_sums(rows.reshape(nbytes, 8, width))
 
 
 def _sum_byte_tables(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -223,10 +247,13 @@ def _sum_byte_tables(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _column_distances(columns: np.ndarray, point: list[float], acc: np.ndarray, diff: np.ndarray) -> None:
+def _column_distances(columns: np.ndarray, point, acc: np.ndarray, diff: np.ndarray) -> None:
     """Write into ``acc`` the ``squared_distances`` to ``point`` of the
-    points whose coordinate k is row k of ``columns``, with the same
-    operations in the same order; ``diff`` is scratch space."""
+    candidates whose coordinate k is row k of ``columns``, with the same
+    operations in the same order; ``diff`` is scratch space.  ``point[k]``
+    is coordinate k of one trusted point, or the (r, 1) column of
+    coordinate k of r points, whose distances fill the r rows of
+    ``acc``."""
     np.subtract(columns[0], point[0], out=acc)
     np.multiply(acc, acc, out=acc)
     for k in range(1, len(point)):
@@ -243,12 +270,14 @@ def _column_distances(columns: np.ndarray, point: list[float], acc: np.ndarray, 
 # scoring, and ``errors()`` scores the current state.  Walks that undo a
 # rejected flip call ``flip`` twice and score once.
 # ``errors_for_words(words)`` scores a uint64 array of words at once and
-# leaves the current state alone.
+# leaves the current state alone, as does the centroid evaluator's
+# ``errors_for_block(high, bits)`` for the 2**bits words from ``high``.
 
 class _CentroidEvaluator:
-    """Centroid learner driven by single-bit flips or word batches.
+    """Centroid learner driven by single-bit flips, word batches or
+    sweep blocks.
 
-    Both paths predict with the arithmetic of ``centroid_predictions``
+    Every path predicts with the arithmetic of ``centroid_predictions``
     and ``squared_distances``, as the public learner does, so they match
     refit-from-scratch results (bit-for-bit on dyadic-grid coordinates).
 
@@ -258,10 +287,14 @@ class _CentroidEvaluator:
     arithmetic.  ``errors`` divides the sums in Python and does the same
     IEEE operations, in the same order, on contiguous trusted columns.
 
-    The batch path gathers each word's class sums and class-1 count from
-    per-byte subset tables, divides them into contiguous centroid
-    columns and scores those with the operations of
-    ``squared_distances``: no bit matrix and no BLAS call.
+    The batch and block paths form class-sum columns for many words at
+    once and score them in ``_errors_of_sums``: no bit matrix and no
+    BLAS call.  A batch gathers each word's class sums and class-1 count
+    from per-byte subset tables.  A sweep block takes the 2**bits words
+    that share their bits from ``bits`` up; it copies a subset table of
+    the low rows and adds each high row to the whole copy, in ascending
+    row order, so each word's class sums are the left folds of its rows
+    in ascending index order, whatever the block.
     """
 
     def __init__(self, pool_x, ax, ay):
@@ -272,15 +305,17 @@ class _CentroidEvaluator:
         self.sums = None
         self.counts = [0, 0]
         self._rows = [tuple(row) for row in pool_x.tolist()]
+        self._row_columns = list(pool_x[:, :, None])
         self._columns = [np.ascontiguousarray(ax[:, k]) for k in range(ax.shape[1])]
         self._is_one = ay == 1
-        self._points = ax.tolist()
-        # rows 0..d-1 class-0 sums, d..2d-1 class-1 sums, 2d the class-1
-        # count, for every byte value of every byte of the word
-        ones = _byte_subset_sums(np.column_stack([pool_x, np.ones(pool_x.shape[0])]))
-        self._tables = np.concatenate([ones[:, :-1, ::-1], ones], axis=1)
+        self._points = ax[np.argsort(ay, kind="stable")]  # class-0 points first
         self._errors_y0 = int(np.count_nonzero(ay == 0))
         self._errors_y1 = ay.shape[0] - self._errors_y0
+        self._byte_tables = None
+        # rows 0..d-1 the sums and row d the count of every subset of the
+        # low rows, for sweep blocks of up to 2**_BLOCK_BITS words
+        bits = min(pool_x.shape[0], _BLOCK_BITS)
+        self._block_table = _subset_sums(np.column_stack([pool_x[:bits], np.ones(bits)]))
 
     def reset(self, word: int) -> int:
         self.word = word
@@ -321,32 +356,90 @@ class _CentroidEvaluator:
         d1 = self._distances(self.sums[1], n1)
         return int(np.count_nonzero((d1 < d0) != self._is_one))  # tie -> class 0
 
-    def errors_for_words(self, words: np.ndarray) -> np.ndarray:
-        d = self.pool_x.shape[1]
-        sums = _sum_byte_tables(self._tables, words)
-        counts1 = sums[2 * d]
-        counts0 = self.pool_x.shape[0] - counts1
-        # start from every trusted point predicted 0, then count each
-        # class-1 prediction as one error more or one fewer
-        wrong = np.full(words.shape[0], self._errors_y1, dtype=np.int32)
-        d0, d1, diff = (np.empty(words.shape[0]) for _ in range(3))
-        pred1 = np.empty(words.shape[0], dtype=bool)
+    def _errors_of_sums(self, sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Error counts of candidate labelings given as class-sum columns.
+
+        ``sums[k, c, j]`` is coordinate k of class c's sum for candidate
+        j and ``counts[c, j]`` the size of class c, as a float.  The sums
+        are divided into centroid columns and scored with the operations
+        of ``squared_distances``: both classes at once, for as many
+        trusted points per numpy call as keep about ``_SCORE_CELLS``
+        distances.
+        """
+        width = counts.shape[1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            c0 = sums[:d] / counts0
-            c1 = sums[d : 2 * d] / counts1
-            for point, is_one in zip(self._points, self._is_one.tolist()):
-                _column_distances(c0, point, d0, diff)
-                _column_distances(c1, point, d1, diff)
-                np.less(d1, d0, out=pred1)  # tie -> class 0
-                if is_one:
-                    np.subtract(wrong, pred1, out=wrong)
-                else:
-                    np.add(wrong, pred1, out=wrong)
-        errs = wrong.astype(np.int64)
+            centroids = (sums / counts).reshape(sums.shape[0], 2 * width)
+        rows = min(max(1, _SCORE_CELLS // (2 * width)), self._points.shape[0])
+        dist, diff = np.empty((rows, 2 * width)), np.empty((rows, 2 * width))
+        pred1 = np.empty((rows, width), dtype=bool)
+        # start from every trusted point predicted 0, then count each
+        # class-1 prediction as one error more (class-0 points, sorted
+        # first) or one fewer (class-1 points)
+        wrong = np.full(width, self._errors_y1, dtype=np.int64)
+        for start in range(0, self._points.shape[0], rows):
+            points = self._points[start : start + rows]
+            r = points.shape[0]
+            zeros = min(max(self._errors_y0 - start, 0), r)  # class-0 points of this chunk
+            if r == 1:
+                # one point per call on 1-D rows, which costs less per call
+                _column_distances(centroids, points[0], dist[0], diff[0])
+                np.less(dist[0, width:], dist[0, :width], out=pred1[0])  # tie -> class 0
+                (np.add if zeros else np.subtract)(wrong, pred1[0], out=wrong)
+                continue
+            _column_distances(centroids, points.T[:, :, None], dist[:r], diff[:r])
+            np.less(dist[:r, width:], dist[:r, :width], out=pred1[:r])  # tie -> class 0
+            votes = pred1[:r].view(np.uint8)
+            if zeros:
+                wrong += np.add.reduce(votes[:zeros], axis=0, dtype=np.int32)
+            if zeros < r:
+                wrong -= np.add.reduce(votes[zeros:], axis=0, dtype=np.int32)
         # degenerate single-class labelings predict the nonempty class
-        errs[counts1 == 0] = self._errors_y1
-        errs[counts0 == 0] = self._errors_y0
-        return errs
+        wrong[counts[1] == 0] = self._errors_y1
+        wrong[counts[0] == 0] = self._errors_y0
+        return wrong
+
+    def errors_for_words(self, words: np.ndarray) -> np.ndarray:
+        n, d = self.pool_x.shape
+        if self._byte_tables is None:
+            # rows 2k and 2k + 1 the class-0 and class-1 sums of coordinate
+            # k, row 2d the class-1 count, for every byte value of every
+            # byte of the word
+            ones = _byte_subset_sums(np.column_stack([self.pool_x, np.ones(n)]))
+            tables = np.empty((ones.shape[0], 2 * d + 1, 256))
+            tables[:, 0 : 2 * d : 2] = ones[:, :d, ::-1]
+            tables[:, 1 : 2 * d : 2] = ones[:, :d]
+            tables[:, 2 * d] = ones[:, d]
+            self._byte_tables = tables
+        sums = _sum_byte_tables(self._byte_tables, words)
+        counts = np.empty((2, words.shape[0]))
+        counts[1] = sums[2 * d]
+        np.subtract(n, counts[1], out=counts[0])
+        return self._errors_of_sums(sums[: 2 * d].reshape(d, 2, -1), counts)
+
+    def errors_for_block(self, high: int, bits: int) -> np.ndarray:
+        """Error counts of the 2**bits words ``high + s`` in ascending s;
+        ``high`` has no set bit below ``bits``."""
+        return self._errors_of_sums(*self._block_sums(high, bits))
+
+    def _block_sums(self, high: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+        """Class sums (d, 2, 2**bits) and class counts (2, 2**bits) of the
+        words of ``errors_for_block``, laid out as ``_errors_of_sums``
+        takes them."""
+        table = self._block_table[:, : 1 << bits]
+        d = self.pool_x.shape[1]
+        sums = np.empty((d, 2, 1 << bits))
+        by_class = (sums[:, 0], sums[:, 1])
+        np.copyto(by_class[0], table[:d, ::-1])  # the clear bits of s are the set bits of its complement
+        np.copyto(by_class[1], table[:d])
+        set_high = 0
+        for i in range(bits, len(self._rows)):
+            bit = (high >> i) & 1
+            np.add(by_class[bit], self._row_columns[i], out=by_class[bit])
+            set_high += bit
+        counts = np.empty((2, 1 << bits))
+        np.add(table[d], set_high, out=counts[1])
+        np.subtract(len(self._rows), counts[1], out=counts[0])
+        return sums, counts
 
 
 class _OneNNEvaluator:

@@ -1,13 +1,22 @@
 """Search over the 2**n labelings of an unlabeled pool.
 
-The exhaustive searcher walks each subcube of the labeling hypercube in
-reflected-Gray order, so consecutive candidates differ in one bit and
-the learner state is updated instead of refit.  The order comes from one
-place, the 4095-step ruler behind ``_gray_flip_blocks`` (the loopless
-reflected-Gray walk of Bitner, Ehrlich and Reingold, CACM 19(9), 1976);
-it is the package's only Gray code.  Parallel runs fix the
-top bits per subcube and merge associatively, making the outcome
-independent of worker count and scheduling.
+The exhaustive searcher splits the labeling hypercube into subcubes by
+the top bits of the word.  The centroid learner scores each subcube in
+blocks of consecutive words (``learners._BLOCK_BITS``); every word's
+class sums are the left folds of its rows in ascending pool index, so
+its score does not depend on where the subcubes or blocks split.  The
+one-NN learner walks each subcube in reflected-Gray order, so
+consecutive candidates differ in one bit and its state is updated
+instead of refit.  That order comes from one place, the 4095-step ruler
+behind ``_gray_flip_blocks`` (the loopless reflected-Gray walk of
+Bitner, Ehrlich and Reingold, CACM 19(9), 1976); it is the package's
+only Gray code.  Subcube results merge associatively, making the
+outcome independent of worker count and scheduling.
+
+Parallel sweeps run on a group of worker processes forked once, the
+first time a call asks for more than one worker, and kept for the life
+of the process; each call pins each worker to a CPU and sends it the
+task and its share over a pipe.
 
 Heuristic searchers (uniform random, first-improvement greedy flips,
 simulated annealing) share the evaluators and the outcome format; they
@@ -16,10 +25,13 @@ can only match, never beat, the exhaustive optimum.
 
 from __future__ import annotations
 
+import atexit
 import heapq
 import math
 import multiprocessing
+import os
 import signal
+import threading
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -27,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_LABELING_BITS, Labeling, SearchOutcome, Task
-from .learners import CENTROID, _check_kind, _make_evaluator
+from .learners import _BLOCK_BITS, CENTROID, _check_kind, _make_evaluator
 
 #: Default / hard ceiling on pool size for exhaustive sweeps.  Runtime is
 #: the experiment here, so the refusal is a guard rail, not a nuisance.
@@ -98,6 +110,34 @@ class _SmallestTracker:
         return sorted(-w for w in self._heap)
 
 
+class _BlockTracker:
+    """``_SmallestTracker`` for blocks of consecutive words offered in
+    ascending word order: the first ``ARGMIN_CAP`` optimum words seen are
+    the smallest."""
+
+    def __init__(self):
+        self.best: int | None = None
+        self.count = 0
+        self._words: list[np.ndarray] = []
+
+    def offer_block(self, first_word: int, errs: np.ndarray) -> None:
+        """Offer the words ``first_word + j`` with errors ``errs[j]``."""
+        low = int(errs.min())
+        if self.best is not None and low > self.best:
+            return
+        if self.best is None or low < self.best:
+            self.best = low
+            self.count = 0
+            self._words = []
+        hits = np.flatnonzero(errs == low)
+        if self.count < ARGMIN_CAP:
+            self._words.append(hits[: ARGMIN_CAP - self.count] + first_word)
+        self.count += hits.size
+
+    def sorted_words(self) -> list[int]:
+        return np.concatenate(self._words).tolist()
+
+
 class _DedupeTracker:
     """Optimum tracker for heuristic walks that may revisit words.
 
@@ -150,73 +190,203 @@ def _sweep_subcube(evaluator, prefix_word: int, low_bits: int) -> _SmallestTrack
     return tracker
 
 
+def _sweep_blocks(evaluator, prefix_word: int, low_bits: int) -> _BlockTracker:
+    """Score the words that share ``prefix_word``'s high bits in blocks
+    of up to 2**``_BLOCK_BITS`` consecutive words, in ascending order."""
+    tracker = _BlockTracker()
+    bits = min(low_bits, _BLOCK_BITS)
+    for high in range(prefix_word, prefix_word + (1 << low_bits), 1 << bits):
+        tracker.offer_block(high, evaluator.errors_for_block(high, bits))
+    return tracker
+
+
+#: The last evaluator ``_run_sweep_jobs`` built in this process, with
+#: copies of the task arrays it was built from and the learner kind.
+_cached_evaluator = None
+
+
+def _evaluator_for(kind: str, pool_x, ax, ay):
+    """The previous call's evaluator if it was built for equal task
+    arrays and the same kind, else a new one, built from copies."""
+    global _cached_evaluator
+    arrays = (pool_x, ax, ay)
+    if _cached_evaluator is not None:
+        cached_kind, cached_arrays, evaluator = _cached_evaluator
+        if cached_kind == kind and all(
+            a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip(cached_arrays, arrays)
+        ):
+            return evaluator
+    arrays = tuple(np.array(a) for a in arrays)
+    evaluator = _make_evaluator(kind, *arrays)
+    _cached_evaluator = (kind, arrays, evaluator)
+    return evaluator
+
+
 def _run_sweep_jobs(payload):
     """Sweep a batch of subcubes; runs in this process or in a worker.
 
     Each job fixes the top bits of the word (the subcube prefix) and
-    walks the remaining low bits in Gray order from a freshly fitted
-    state.  Returns per-job (prefix, best errors, capped sorted optimum
-    words, exact optimum count, evaluations, busy seconds).
+    sweeps the remaining low bits: in Gray order from a freshly reset
+    state for one-NN, in blocks for the centroid learner.  Returns
+    per-job (prefix, best errors, capped sorted optimum words, exact
+    optimum count, evaluations, busy seconds).
     """
     pool_x, ax, ay, kind, jobs = payload
-    evaluator = _make_evaluator(kind, pool_x, ax, ay)
+    evaluator = _evaluator_for(kind, pool_x, ax, ay)
+    sweep = _sweep_blocks if kind == CENTROID else _sweep_subcube
     results = []
     for prefix_word, low_bits in jobs:
         start = time.perf_counter()
-        tracker = _sweep_subcube(evaluator, prefix_word, low_bits)
+        tracker = sweep(evaluator, prefix_word, low_bits)
         busy = time.perf_counter() - start
         results.append((prefix_word, tracker.best, tracker.sorted_words(), tracker.count, 1 << low_bits, busy))
     return results
 
 
-def _sweep_child(conn, payload) -> None:
-    """Body of a forked sweep worker: send ("ok", results) or
-    ("error", message) to the parent; a failure exits with code 1."""
-    # Ctrl-C reaches the whole process group; the parent stops the children.
+# --- the worker group -------------------------------------------------------
+
+def _group_worker(conn, parent_end) -> None:
+    """Body of a group worker: answer each payload received with
+    ("ok", results), until the parent closes the pipe.  A failure sends
+    ("error", message) and exits with code 1."""
+    # Ctrl-C reaches the whole process group; the parent stops the workers.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        results = _run_sweep_jobs(payload)
-    except Exception as exc:
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        raise SystemExit(1)
-    conn.send(("ok", results))
+    parent_end.close()
+    while True:
+        try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        try:
+            results = _run_sweep_jobs(payload)
+        except Exception as exc:
+            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            raise SystemExit(1)
+        conn.send(("ok", results))
 
 
-def _run_forked(base: tuple, shares: list) -> list:
-    """Sweep ``shares[0]`` here and every other share in a forked child.
+class _SweepGroup:
+    """Sweep workers forked once and kept for the life of the process.
 
-    Children inherit the task arrays instead of unpickling them.  A
-    child that raises or dies makes this raise ``RuntimeError`` naming
-    the worker and its exit code; on any exit, Ctrl-C included, every
-    child is stopped and joined.
+    Worker i (from 1) sweeps share i of every parallel call.  The group
+    grows when a call needs more workers than it has and is forked anew
+    when one of them has died.  The workers are daemon processes and are
+    closed at exit; a process forked from this one drops the group
+    without touching its workers.
     """
-    context = multiprocessing.get_context("fork")
-    children = []
+
+    def __init__(self):
+        self.workers: list = []  # (process, connection) pairs
+        self.lock = threading.Lock()
+
+    def grow(self, count: int) -> list:
+        """The first ``count`` workers, forking any that are missing."""
+        if any(not process.is_alive() for process, _ in self.workers):
+            self.close()
+        context = multiprocessing.get_context("fork")
+        while len(self.workers) < count:
+            here, there = context.Pipe()
+            process = context.Process(target=_group_worker, args=(there, here), daemon=True,
+                                      name=f"labelsearch-sweep-{len(self.workers) + 1}")
+            process.start()
+            there.close()
+            self.workers.append((process, here))
+        return self.workers[:count]
+
+    def close(self) -> None:
+        """Stop and join every worker."""
+        workers, self.workers = self.workers, []
+        for process, _ in workers:
+            if process.exitcode is None:
+                process.terminate()
+        for process, conn in workers:
+            process.join()
+            conn.close()
+
+    def forget(self) -> None:
+        """Drop the workers of the process this one was forked from."""
+        for process, _ in self.workers:
+            multiprocessing.process._children.discard(process)
+        self.workers = []
+        self.lock = threading.Lock()
+
+
+_GROUP = _SweepGroup()
+os.register_at_fork(after_in_child=_GROUP.forget)
+atexit.register(_GROUP.close)
+
+
+def _current_cpu() -> int:
+    """The CPU this process is running on (Linux ``/proc``)."""
+    with open("/proc/self/stat", encoding="ascii") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[36])
+
+
+#: Sweeps of fewer than 2**12 words take about a millisecond or less,
+#: which waking idle CPUs can cost on its own.
+_SPREAD_BITS = 12
+
+
+def _place(workers: list, shares: list) -> None:
+    """Pin each worker to the CPU it runs on for this call.
+
+    A worker woken by the caller's send is queued on the caller's CPU,
+    and the scheduler may leave it there for a whole call, so that every
+    share runs on one CPU.  In a sweep of 2**``_SPREAD_BITS`` words or
+    more, each worker is pinned to the usable CPU with the fewest
+    subcubes so far, the caller's CPU starting with the caller's share.
+    A smaller sweep keeps every worker on the caller's CPU, which spares
+    it the wake-up of an idle one.  Placement is a hint: where it cannot
+    be read or set, it is left as it is.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    spread = sum(map(len, shares)) << shares[0][0][1] >= 1 << _SPREAD_BITS
     try:
-        for worker, share in enumerate(shares[1:], start=1):
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_sweep_child, args=(sender, base + (share,)),
-                                    name=f"labelsearch-sweep-{worker}")
-            child.start()
-            sender.close()
-            children.append((worker, child, receiver))
-        results = _run_sweep_jobs(base + (shares[0],))
-        for worker, child, receiver in children:
-            try:
-                status, value = receiver.recv()
-            except EOFError:
-                status, value = "error", "died without a result"
-            child.join()
-            if status != "ok":
-                raise RuntimeError(f"sweep worker {worker} failed with exit code {child.exitcode}: {value}")
-            results.extend(value)
-        return results
-    finally:
-        for _, child, receiver in children:
-            if child.exitcode is None:
-                child.terminate()
-            child.join()
-            receiver.close()
+        here = _current_cpu()
+        cpus = sorted(os.sched_getaffinity(0))
+        subcubes = dict.fromkeys(cpus, 0)
+        subcubes[here] = len(shares[0])
+        for (process, _), share in zip(workers, shares[1:]):
+            cpu = min(cpus, key=subcubes.__getitem__) if spread else here
+            subcubes[cpu] += len(share)
+            os.sched_setaffinity(process.pid, {cpu})
+    except (OSError, ValueError, IndexError):
+        pass  # a dead worker is reported when its result is read
+
+
+def _run_on_group(base: tuple, shares: list) -> list:
+    """Sweep ``shares[0]`` here and share i on the group's worker i.
+
+    A worker that raises or dies makes this raise ``RuntimeError``
+    naming the worker and its exit code.  On any failure, Ctrl-C
+    included, the group is stopped and joined.  Calls from several
+    threads take turns.
+    """
+    with _GROUP.lock:
+        try:
+            workers = _GROUP.grow(len(shares) - 1)
+            _place(workers, shares)
+            for (_, conn), share in zip(workers, shares[1:]):
+                try:
+                    conn.send(base + (share,))
+                except OSError:
+                    pass  # the worker died; receiving from it reports that
+            results = _run_sweep_jobs(base + (shares[0],))
+            for number, (process, conn) in enumerate(workers, start=1):
+                try:
+                    status, value = conn.recv()
+                except (EOFError, OSError):
+                    status, value = "error", "died without a result"
+                if status != "ok":
+                    process.join()
+                    raise RuntimeError(f"sweep worker {number} failed with exit code {process.exitcode}: {value}")
+                results.extend(value)
+            return results
+        except BaseException:
+            _GROUP.close()
+            raise
 
 
 def _check_exhaustive_cap(n: int, cap: int) -> None:
@@ -251,11 +421,15 @@ def exhaustive_search(
     deterministic and identical for any worker count; only the wall
     clock changes.  ``workers`` must lie in [1, ``MAX_WORKERS``]; with
     more than one, the top bits of the word split the sweep into
-    subcubes dealt round-robin to ``workers`` shares.
-    ``executor`` lets callers reuse one process pool across many
-    searches; without one, this process sweeps the first share and
-    forks one child per other share (POSIX ``fork`` start method).  A
-    failed or killed child raises ``RuntimeError``.
+    subcubes dealt round-robin to ``workers`` shares.  This process
+    sweeps the first share and the persistent worker group the others
+    (POSIX ``fork`` start method); the group is forked at the first
+    such call, grown when a call needs more workers, and forked anew
+    after a worker has died; each call pins each worker to a CPU
+    (``_place``), and calls from several threads take turns.  A worker
+    that raises or dies raises ``RuntimeError`` here; on that or on
+    Ctrl-C the group is stopped and joined.  A caller that passes
+    ``executor`` has every share submitted to that pool instead.
     """
     _check_kind(learner_kind)
     n = task.n
@@ -275,7 +449,7 @@ def exhaustive_search(
         futures = [executor.submit(_run_sweep_jobs, base + (share,)) for share in shares]
         results = [item for fut in futures for item in fut.result()]
     else:
-        results = _run_forked(base, shares)
+        results = _run_on_group(base, shares)
     elapsed = time.perf_counter() - started
 
     # Subcube prefixes cover disjoint consecutive word ranges, so a
@@ -302,6 +476,37 @@ def exhaustive_search(
 
 # --- batched evaluation of arbitrary word lists -----------------------------
 
+def _word_array(words, n: int) -> np.ndarray:
+    """``words`` as a uint64 array, after refusing input that is not a
+    1-D sequence of integers in [0, 2**n)."""
+    if not isinstance(words, np.ndarray):
+        # each element is checked as the integer it is: numpy would turn
+        # [0, 2**63] into floats and [-1] into an error of its own
+        words = np.array(words, dtype=object)
+    if words.ndim != 1:
+        raise ValueError(f"words must form a 1-D sequence, got shape {words.shape}")
+    if words.dtype == object:
+        for word in words.tolist():
+            if isinstance(word, (bool, np.bool_)) or not isinstance(word, (int, np.integer)):
+                raise ValueError(f"word {word!r} is not an integer")
+            if word < 0:
+                raise ValueError(f"word {word} is negative")
+            if word >> n:
+                raise ValueError(f"word {word} has bits at or above the pool size n={n}")
+        return words.astype(np.uint64)
+    if words.dtype.kind not in "iu":
+        raise ValueError(f"words must be integers, got dtype {words.dtype}")
+    if words.dtype.kind == "i":
+        negative = np.flatnonzero(words < 0)
+        if negative.size:
+            raise ValueError(f"word {int(words[negative[0]])} is negative")
+        words = words.astype(np.uint64)
+    outside = np.flatnonzero(words >> np.uint64(n))
+    if outside.size:
+        raise ValueError(f"word {int(words[outside[0]])} has bits at or above the pool size n={n}")
+    return words
+
+
 def error_counts_for_words(task: Task, words, learner_kind: str = CENTROID) -> np.ndarray:
     """Trusted-set error count of each labeling word, evaluated in batches.
 
@@ -312,17 +517,15 @@ def error_counts_for_words(task: Task, words, learner_kind: str = CENTROID) -> n
     fit-and-predict exactly on dyadic-grid coordinates (the generator's
     output); on arbitrary float data the class sums may differ from a
     refit by one rounding, so knife-edge distance ties could in
-    principle diverge.  A word with a bit at or above ``task.n`` is
-    refused with ``ValueError``.
+    principle diverge.  ``words`` must be a 1-D sequence or array of
+    integers; a non-integer, a negative word or a word with a bit at or
+    above ``task.n`` is refused with ``ValueError``.
     """
     _check_kind(learner_kind)
     n = task.n
     if n > MAX_LABELING_BITS:
         raise ValueError(f"pool size {n} exceeds the {MAX_LABELING_BITS}-bit labeling bound")
-    words = np.asarray(words, dtype=np.uint64)
-    outside = np.flatnonzero(words >> np.uint64(n))
-    if outside.size:
-        raise ValueError(f"word {int(words[outside[0]])} has bits at or above the pool size n={n}")
+    words = _word_array(words, n)
     evaluator = _make_evaluator(learner_kind, task.pool.x, task.trusted.x, task.trusted.y)
     out = np.empty(words.shape[0], dtype=np.int64)
     for start in range(0, words.shape[0], _WORD_CHUNK):

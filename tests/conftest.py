@@ -1,8 +1,11 @@
+import multiprocessing
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 
-from labelsearch import TaskSpec, generate_task
+from labelsearch import TaskSpec, generate_task, search
 from labelsearch.search import _gray_flip_blocks
 
 hypothesis.settings.register_profile(
@@ -12,6 +15,22 @@ hypothesis.settings.register_profile(
     "thorough", max_examples=300, deadline=None
 )
 hypothesis.settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def fresh_sweep_group():
+    """Start every test without sweep workers, so that a test's patches
+    of the search module reach the workers its calls fork."""
+    search._GROUP.close()
+
+
+def close_group_leaving_no_child():
+    """Check that the only live children are the sweep group's workers,
+    then close the group and check that no child is left."""
+    workers = {process for process, _ in search._GROUP.workers}
+    assert set(multiprocessing.active_children()) == workers
+    search._GROUP.close()
+    assert multiprocessing.active_children() == []
 
 
 @st.composite

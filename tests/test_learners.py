@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from labelsearch import (
     Labeling,
+    Task,
     TaskSpec,
     TrustedSet,
     UnlabeledPool,
@@ -13,10 +14,10 @@ from labelsearch import (
     generate_task,
     predict,
 )
-from labelsearch.learners import _make_evaluator, nearest_pool_index, predict_points, squared_distances
+from labelsearch.learners import _BLOCK_BITS, _make_evaluator, nearest_pool_index, predict_points, squared_distances
 
 from conftest import learner_kinds, small_tasks
-from oracles import NumpyRowCentroidEvaluator, brute_nearest, fsum_class_means
+from oracles import NumpyRowCentroidEvaluator, brute_nearest, fsum_class_means, naive_error_counts
 
 
 # --- fit --------------------------------------------------------------------
@@ -182,6 +183,66 @@ def test_errors_for_words_match_reset_on_wide_pools(kind, n):
     evaluator = _make_evaluator(kind, task.pool.x, task.trusted.x, task.trusted.y)
     batch = evaluator.errors_for_words(words)
     assert batch.tolist() == [evaluator.reset(int(w)) for w in words]
+
+
+# --- centroid sweep blocks --------------------------------------------------
+
+def _off_grid_pool(rng, n, d):
+    # magnitudes spread over six decades, so that regrouping any sum
+    # changes its rounding
+    return rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+
+
+def _left_fold(rows):
+    total = [0.0] * len(rows[0]) if rows else None
+    for row in rows:
+        total = [t + v for t, v in zip(total, row)]
+    return total
+
+
+@pytest.mark.parametrize("n, bits", [(1, 0), (1, 1), (5, 0), (5, 2), (9, 5), (9, 9), (16, 8), (20, 9)])
+def test_block_class_sums_are_ascending_left_folds(n, bits):
+    # every word's class sums are its rows added one at a time in
+    # ascending pool index onto a zero, whichever block it falls in
+    rng = np.random.default_rng(100 * n + bits)
+    for d in (1, 3):
+        pool_x = _off_grid_pool(rng, n, d)
+        rows = pool_x.tolist()
+        evaluator = _make_evaluator("centroid", pool_x, rng.standard_normal((2, d)), np.array([0, 1], dtype=np.int8))
+        highs = rng.integers(0, 1 << (n - bits), size=4) << bits if n > bits else [0]
+        for high in [0, ((1 << n) - 1) >> bits << bits, *highs]:
+            sums, counts = evaluator._block_sums(int(high), bits)
+            for s in sorted({0, (1 << bits) - 1, *rng.integers(0, 1 << bits, size=64).tolist()}):
+                word = int(high) + s
+                for cls in (0, 1):
+                    members = [row for i, row in enumerate(rows) if (word >> i) & 1 == cls]
+                    assert counts[cls, s] == len(members)
+                    if members:
+                        assert sums[:, cls, s].tolist() == _left_fold(members)
+                    else:
+                        assert not sums[:, cls, s].any()
+
+
+def _class_variants(task):
+    """The task, and the task with every trusted label 0 and every one 1
+    (a single-class labeling is then an optimum)."""
+    y = task.trusted.y
+    return [task] + [
+        Task(trusted=TrustedSet(task.trusted.x, np.full_like(y, label)), pool=task.pool) for label in (0, 1)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 11])
+def test_block_errors_match_refits(n):
+    for d in (1, 2, 4):
+        task = generate_task(TaskSpec(m=1 + 3 * d, n=n, d=d, separation=1.0, noise_sigma=1.0, seed=10 * n + d))
+        for variant in _class_variants(task):
+            counts = naive_error_counts(variant, "centroid")
+            evaluator = _make_evaluator("centroid", variant.pool.x, variant.trusted.x, variant.trusted.y)
+            for bits in sorted({0, 1, n // 2, n - 1, n} & set(range(_BLOCK_BITS + 1))):
+                for high in range(0, 1 << n, 1 << bits):
+                    expected = counts[high : high + (1 << bits)]
+                    assert evaluator.errors_for_block(high, bits).tolist() == expected.tolist(), (d, bits, high)
 
 
 # --- predict ----------------------------------------------------------------

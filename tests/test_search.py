@@ -1,6 +1,12 @@
 import multiprocessing
+import multiprocessing.util
 import os
+import re
+import signal
+import statistics
+import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,12 +24,14 @@ from labelsearch import (
     exhaustive_search,
     generate_task,
     heuristic_search,
+    load_task,
+    save_task,
 )
-from labelsearch import search
+from labelsearch import learners, search
 from labelsearch.learners import _make_evaluator
 from labelsearch.search import ARGMIN_CAP
 
-from conftest import learner_kinds, ruler_walk, small_tasks
+from conftest import close_group_leaving_no_child, learner_kinds, ruler_walk, small_tasks
 from oracles import (
     inverse_gray,
     naive_best,
@@ -119,6 +127,29 @@ def test_exhaustive_is_worker_count_independent():
         assert out.evaluations == reference.evaluations
 
 
+_K = learners._BLOCK_BITS
+
+
+@pytest.mark.parametrize("n", [1, _K - 1, _K, _K + 1, _K + 3])
+def test_centroid_sweep_matches_naive_at_block_boundaries(n):
+    # pools just below, at and past one table width, swept with 0 to 3
+    # prefix bits (1, 2, 3 and 5 workers); d = 1 has a single trusted
+    # point and many tied optima, d = 2 and d = 4 single-class trusted
+    # sets, whose optima include a labeling with an empty class
+    for d in range(1, 5):
+        task = generate_task(TaskSpec(m=1 if d == 1 else 7, n=n, d=d, separation=1.0, noise_sigma=1.0,
+                                      seed=1000 + 10 * n + d))
+        if d in (2, 4):
+            label = d // 2 - 1
+            task = Task(trusted=TrustedSet(task.trusted.x, np.full_like(task.trusted.y, label)), pool=task.pool)
+        best, words = naive_best(task, "centroid")
+        for workers in (1, 2, 3, 5):
+            out = exhaustive_search(task, "centroid", workers=workers)
+            assert out.best_mu == best / task.m
+            assert out.argmin_count == len(words)
+            assert [lab.bits for lab in out.argmin_labelings] == words[:ARGMIN_CAP], (d, workers)
+
+
 def _summary(outcome):
     return (outcome.best_mu, outcome.argmin_count,
             [lab.bits for lab in outcome.argmin_labelings], outcome.evaluations)
@@ -129,10 +160,36 @@ def test_outcome_is_bit_identical_for_any_worker_count(task, kind):
     reference = _summary(exhaustive_search(task, kind))
     for workers in (2, 3, 5, 8):
         assert _summary(exhaustive_search(task, kind, workers=workers)) == reference
-    assert multiprocessing.active_children() == []
+    close_group_leaving_no_child()
+
+
+def _jittered(task, rng):
+    """The task moved off the dyadic grid and read back from a task file."""
+    def jitter(x):
+        return x + rng.uniform(-1e-3, 1e-3, size=x.shape)
+
+    moved = Task(trusted=TrustedSet(jitter(task.trusted.x), task.trusted.y), pool=UnlabeledPool(jitter(task.pool.x)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "task.json")
+        save_task(moved, path)
+        return load_task(path)
+
+
+@given(small_tasks(max_n=14, max_m=16), st.integers(0, 2**32 - 1))
+@settings(max_examples=25)
+def test_off_grid_centroid_outcome_is_identical_for_any_worker_count(task, seed):
+    # class sums are left folds in ascending pool index, whatever subcube
+    # and block a word falls in, so even rounded sums do not depend on
+    # how the workers split the sweep
+    task = _jittered(task, np.random.default_rng(seed))
+    reference = _summary(exhaustive_search(task, "centroid"))
+    for workers in (2, 3, 5, 8):
+        assert _summary(exhaustive_search(task, "centroid", workers=workers)) == reference
 
 
 def test_fan_out_forks_one_child_per_extra_share(monkeypatch):
+    # the group forks each worker once and keeps it; it grows to the
+    # largest number of extra shares any call has asked for
     started = []
     real_start = multiprocessing.context.ForkProcess.start
 
@@ -141,13 +198,118 @@ def test_fan_out_forks_one_child_per_extra_share(monkeypatch):
         real_start(process)
 
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
-    for n in (1, 2, 10):
-        task = generate_task(TaskSpec(m=4, n=n, d=2, separation=1.0, noise_sigma=1.0, seed=n))
-        for workers in (2, 3, 5, 8):
-            started.clear()
-            exhaustive_search(task, "onenn", workers=workers)
-            subcubes = 1 << min(n, (workers - 1).bit_length())
-            assert len(started) == min(workers, subcubes) - 1
+    largest = 0
+    for repeat in range(2):
+        for n in (1, 2, 10):
+            task = generate_task(TaskSpec(m=4, n=n, d=2, separation=1.0, noise_sigma=1.0, seed=n))
+            for workers in (2, 3, 5, 8):
+                exhaustive_search(task, "onenn", workers=workers)
+                subcubes = 1 << min(n, (workers - 1).bit_length())
+                largest = max(largest, min(workers, subcubes) - 1)
+                assert len(started) == largest
+    assert [process for process, _ in search._GROUP.workers] == started
+    assert len(set(started)) == largest == 7
+
+
+def test_group_reforks_after_a_worker_is_killed():
+    task = generate_task(TaskSpec(m=5, n=10, d=2, separation=1.0, noise_sigma=1.0, seed=2))
+    reference = _summary(exhaustive_search(task, "centroid"))
+    assert _summary(exhaustive_search(task, "centroid", workers=3)) == reference
+    first = [process for process, _ in search._GROUP.workers]
+    assert len(first) == 2
+    os.kill(first[1].pid, signal.SIGKILL)
+    first[1].join(timeout=30)
+    assert first[1].exitcode == -signal.SIGKILL
+    assert _summary(exhaustive_search(task, "centroid", workers=3)) == reference
+    second = [process for process, _ in search._GROUP.workers]
+    assert len(second) == 2 and not set(second) & set(first)
+    assert not first[0].is_alive()
+    close_group_leaving_no_child()
+
+
+def test_a_forked_child_holds_no_group():
+    task = generate_task(TaskSpec(m=5, n=10, d=2, separation=1.0, noise_sigma=1.0, seed=2))
+    exhaustive_search(task, "onenn", workers=3)
+    workers = [process for process, _ in search._GROUP.workers]
+    receiver, sender = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child reports what it holds, then runs the exit hooks of both modules
+        try:
+            held = (len(search._GROUP.workers), len(multiprocessing.active_children()))
+            search._GROUP.close()
+            multiprocessing.util._exit_function()
+            os.write(sender, repr(held).encode())
+        finally:
+            os._exit(0)
+    os.close(sender)
+    with os.fdopen(receiver) as pipe:
+        held = pipe.read()
+    os.waitpid(pid, 0)
+    assert held == "(0, 0)"
+    # the child's exit left the parent's workers running, and they serve on
+    assert all(process.is_alive() for process in workers)
+    exhaustive_search(task, "onenn", workers=3)
+    assert [process for process, _ in search._GROUP.workers] == workers
+    close_group_leaving_no_child()
+
+
+def test_closing_the_group_leaves_no_child():
+    task = generate_task(TaskSpec(m=5, n=10, d=2, separation=1.0, noise_sigma=1.0, seed=2))
+    exhaustive_search(task, "centroid", workers=8)
+    assert len(search._GROUP.workers) == 7
+    search._GROUP.close()
+    assert search._GROUP.workers == []
+    assert multiprocessing.active_children() == []
+    search._GROUP.close()  # closing again is harmless
+
+
+def test_parallel_calls_from_threads_take_turns_on_the_group():
+    tasks = [generate_task(TaskSpec(m=5, n=10, d=2, separation=1.0, noise_sigma=1.0, seed=seed)) for seed in range(4)]
+    references = [_summary(exhaustive_search(task, "centroid")) for task in tasks]
+    exhaustive_search(tasks[0], "centroid", workers=3)  # fork the group before any thread starts
+
+    def repeated(task):
+        return [_summary(exhaustive_search(task, "centroid", workers=3)) for _ in range(20)]
+
+    with ThreadPoolExecutor(max_workers=len(tasks)) as threads:
+        outcomes = list(threads.map(repeated, tasks))
+    assert outcomes == [[reference] * 20 for reference in references]
+    close_group_leaving_no_child()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_large_sweeps_spread_the_workers_and_small_ones_keep_them_on_one_cpu():
+    usable = os.sched_getaffinity(0)
+    workers = min(1 << len(usable).bit_length(), search.MAX_WORKERS)  # one subcube per share
+    large = generate_task(TaskSpec(m=5, n=search._SPREAD_BITS, d=2, separation=1.0, noise_sigma=1.0, seed=2))
+    small = generate_task(TaskSpec(m=5, n=search._SPREAD_BITS - 1, d=2, separation=1.0, noise_sigma=1.0, seed=2))
+    exhaustive_search(large, "onenn", workers=workers)
+    pins = [os.sched_getaffinity(process.pid) for process, _ in search._GROUP.workers]
+    assert all(len(pin) == 1 and pin <= usable for pin in pins)
+    loads = sorted(sum(pin == {cpu} for pin in pins) for cpu in usable)
+    loads[0] += 1  # the caller's own share, on a CPU with the fewest workers
+    assert max(loads) - min(loads) <= 1
+    # a small sweep keeps every worker on the caller's CPU
+    exhaustive_search(small, "onenn", workers=workers)
+    pins = [os.sched_getaffinity(process.pid) for process, _ in search._GROUP.workers]
+    assert len(pins[0]) == 1 and pins[0] <= usable and all(pin == pins[0] for pin in pins)
+    close_group_leaving_no_child()
+
+
+@pytest.mark.parametrize("kind", ["centroid", "onenn"])
+def test_two_worker_call_costs_at_most_a_millisecond_more(kind):
+    # the workers are forked once, so a small all-cores call pays a pipe
+    # round trip, not a fork
+    task = generate_task(TaskSpec(m=8, n=6, d=2, separation=1.0, noise_sigma=1.0, seed=6))
+    timings = {1: [], 2: []}
+    exhaustive_search(task, kind, workers=2)
+    for _ in range(30):
+        for workers in (1, 2):
+            start = time.perf_counter()
+            exhaustive_search(task, kind, workers=workers)
+            timings[workers].append(time.perf_counter() - start)
+    extra = statistics.median(timings[2]) - statistics.median(timings[1])
+    assert extra < 1e-3, f"a 2-worker call costs {extra * 1e3:.2f} ms more than a 1-worker call"
 
 
 def _in_sweep_children(monkeypatch, action):
@@ -244,6 +406,30 @@ def test_batch_scoring_refuses_words_outside_the_pool(kind, n):
         with pytest.raises(ValueError, match=f"word {word} has bits at or above the pool size n={n}"):
             error_counts_for_words(task, [0, (1 << n) - 1, word, 1 << 63], kind)
     assert error_counts_for_words(task, [0, (1 << n) - 1], kind).shape == (2,)
+
+
+@pytest.mark.parametrize("kind", ["centroid", "onenn"])
+def test_batch_scoring_refuses_words_that_are_not_nonnegative_integers(kind):
+    # at n = 5, [2.7] used to score as word 2, [-1] raised numpy's
+    # OverflowError and a 2-D input a broadcast error
+    task = generate_task(TaskSpec(m=6, n=5, d=2, separation=1.0, noise_sigma=1.0, seed=5))
+    refused = {
+        "word 2.7 is not an integer": [[2.7]],
+        "word 2.0 is not an integer": [[1, 2.0]],
+        "word True is not an integer": [[True]],
+        "words must be integers, got dtype float64": [np.array([2.7]), np.array([2.0])],
+        "word -1 is negative": [[-1], [3, -1, 4], np.array([0, -1], dtype=np.int64)],
+        "words must form a 1-D sequence, got shape (1, 2)": [[[1, 2]], np.array([[1, 2]], dtype=np.uint64)],
+        "words must form a 1-D sequence, got shape ()": [3],
+    }
+    for message, inputs in refused.items():
+        for words in inputs:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                error_counts_for_words(task, words, kind)
+    expected = error_counts_for_words(task, np.array([2, 31, 0], dtype=np.uint64), kind).tolist()
+    for words in ([2, 31, 0], [np.int64(2), np.uint8(31), 0], np.array([2, 31, 0]), np.array([2, 31, 0], np.int8)):
+        assert error_counts_for_words(task, words, kind).tolist() == expected
+    assert error_counts_for_words(task, [], kind).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 40, 63])
