@@ -130,12 +130,12 @@ _GEN_DEFAULTS = {"d": 2, "sep": 4.0, "sigma": 1.0, "seed": 0}
 def _run_gen_data(parser, ns) -> int:
     cfg = _resolve(parser, ns, _GEN_DEFAULTS | {"m": None, "n": None, "out": None}, ("m", "n", "out"))
     spec = TaskSpec(
-        m=int(cfg["m"]),
-        n=int(cfg["n"]),
-        d=int(cfg["d"]),
+        m=cfg["m"],
+        n=cfg["n"],
+        d=cfg["d"],
         separation=float(cfg["sep"]),
         noise_sigma=float(cfg["sigma"]),
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
     )
     _write_atomic(cfg["out"], task_to_json(generate_task(spec)))
     return 0
@@ -157,17 +157,15 @@ def _run_search(parser, ns) -> int:
     cfg = _resolve(parser, ns, _SEARCH_DEFAULTS | {"task": None, "out": None}, ("task", "out"))
     task = load_task(cfg["task"])
     if ns.mode == "exhaustive":
-        outcome = exhaustive_search(
-            task, cfg["learner"], workers=int(cfg["workers"]), cap=int(cfg["cap"])
-        )
+        outcome = exhaustive_search(task, cfg["learner"], workers=cfg["workers"], cap=cfg["cap"])
     else:
         heuristic = HeuristicConfig(
             kind=_SEARCH_MODES[ns.mode],
-            budget=int(cfg["budget"]),
-            restarts=int(cfg["restarts"]),
+            budget=cfg["budget"],
+            restarts=cfg["restarts"],
             initial_temp=float(cfg["t0"]),
             decay=float(cfg["gamma"]),
-            rng_seed=int(cfg["seed"]),
+            rng_seed=cfg["seed"],
         )
         outcome = heuristic_search(task, cfg["learner"], heuristic)
     payload = {
@@ -192,10 +190,10 @@ def _run_chance_hit(parser, ns) -> int:
     task = load_task(cfg["task"])
     result = chance_hit_experiment(
         task,
-        trials=int(cfg["trials"]),
-        rng_seed=int(cfg["seed"]),
+        trials=cfg["trials"],
+        rng_seed=cfg["seed"],
         learner_kind=cfg["learner"],
-        cap=int(cfg["cap"]),
+        cap=cfg["cap"],
     )
     _write_atomic(cfg["out"], _result_json("chance-hit", None, cfg, result))
     return 0
@@ -214,7 +212,7 @@ def _run_baseline(parser, ns) -> int:
             task,
             cfg["learner"],
             confidence_quantile=float(cfg["quantile"]),
-            max_rounds=int(cfg["max_rounds"]),
+            max_rounds=cfg["max_rounds"],
         )
     _write_atomic(cfg["out"], _result_json("baseline", ns.mode, cfg, result))
     return 0
@@ -240,16 +238,14 @@ def _run_scaling(parser, ns) -> int:
         parser.error("scaling needs --out-csv and/or --out-json")
     n_values = _parse_int_list(cfg["n_values"])
     template = TaskSpec(
-        m=int(cfg["m"]),
+        m=cfg["m"],
         n=max(n_values),
-        d=int(cfg["d"]),
+        d=cfg["d"],
         separation=float(cfg["sep"]),
         noise_sigma=float(cfg["sigma"]),
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
     )
-    report = scaling_experiment(
-        n_values, template, cfg["learner"], workers=int(cfg["workers"]), cap=int(cfg["cap"])
-    )
+    report = scaling_experiment(n_values, template, cfg["learner"], workers=cfg["workers"], cap=cfg["cap"])
     if cfg["out_csv"] is not None:
         _write_atomic(cfg["out_csv"], scaling_report_csv(report))
     if cfg["out_json"] is not None:

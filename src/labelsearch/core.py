@@ -49,6 +49,18 @@ def _check_feature_matrix(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite coordinates")
 
 
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int, after refusing a bool or a non-integer (a
+    float, or a numeric string) with ``ValueError`` naming the parameter.
+    The worker counts, caps, budgets, trial and round counts, task sizes
+    and seeds of the search and harness entry points go through this
+    check, so that a run never uses a value other than the one it was
+    given and its result file echoes."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_binary(labels: np.ndarray, name: str) -> None:
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError(f"{name} must contain only 0/1 values")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import COORD_GRID, Task, TrustedSet, UnlabeledPool, evaluate_mu
+from .core import COORD_GRID, Task, TrustedSet, UnlabeledPool, _check_integer, evaluate_mu
 from .learners import (
     CENTROID,
     _check_kind,
@@ -47,6 +47,8 @@ class TaskSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("m", "n", "d", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.m < 1 or self.n < 1 or self.d < 1:
             raise ValueError("m, n, d must all be at least 1")
         if self.separation < 0:
@@ -167,6 +169,7 @@ def self_training_baseline(
     _check_kind(learner_kind)
     if not 0.0 < confidence_quantile <= 1.0:
         raise ValueError("confidence quantile must lie in (0, 1]")
+    _check_integer("max_rounds", max_rounds)
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
 
@@ -273,7 +276,7 @@ def scaling_experiment(
     warm-up and serve every n, so per-call overhead stays flat.
     """
     _check_kind(learner_kind)
-    ns = sorted(set(int(n) for n in n_values))
+    ns = sorted(set(_check_integer("n", n) for n in n_values))
     if not ns:
         raise ValueError("n_values must be nonempty")
     for n in ns:

@@ -12,9 +12,15 @@ Two learner kinds:
 ``fit``/``predict`` train and apply one model.  Searches score
 labelings through one evaluator per learner instead, which serves the
 exhaustive sweep, the heuristics, batch scoring and chance-hit alike:
-it flips one bit at a time without retraining from scratch, and scores
-arrays of packed words in vectorized batches.  The centroid evaluator
-also scores the sweep's blocks of consecutive words.
+it flips one bit at a time without retraining from scratch, scores
+arrays of packed words in vectorized batches, and sweeps a subcube of
+the labeling hypercube.  The centroid evaluator sweeps in blocks of
+consecutive words; the one-NN evaluator walks the subcube in
+reflected-Gray order, so consecutive candidates differ in one bit and
+its state is updated instead of refit.  That order comes from one
+place, the 4095-step ruler behind ``_gray_flip_blocks`` (the loopless
+reflected-Gray walk of Bitner, Ehrlich and Reingold, CACM 19(9),
+1976); it is the package's only Gray code.
 
 Determinism rules, fixed here and relied on by every caller: distance
 comparisons use squared Euclidean distance; centroid distance ties
@@ -272,6 +278,12 @@ def _column_distances(columns: np.ndarray, point, acc: np.ndarray, diff: np.ndar
 # ``errors_for_words(words)`` scores a uint64 array of words at once and
 # leaves the current state alone, as does the centroid evaluator's
 # ``errors_for_block(high, bits)`` for the 2**bits words from ``high``.
+# ``sweep(prefix_word, low_bits, tracker)`` scores the subcube of the
+# 2**low_bits words that share ``prefix_word``'s higher bits and offers
+# the tracker every word that could be an optimum: the centroid
+# evaluator in ascending blocks (``offer_block``), the one-NN evaluator
+# one flip at a time in Gray order (``offer``).  The exhaustive search
+# calls only ``sweep``, so how a learner walks a subcube is decided here.
 
 class _CentroidEvaluator:
     """Centroid learner driven by single-bit flips, word batches or
@@ -299,8 +311,6 @@ class _CentroidEvaluator:
 
     def __init__(self, pool_x, ax, ay):
         self.pool_x = pool_x
-        self.ax = ax
-        self.ay = ay
         self.word = 0
         self.sums = None
         self.counts = [0, 0]
@@ -421,6 +431,14 @@ class _CentroidEvaluator:
         ``high`` has no set bit below ``bits``."""
         return self._errors_of_sums(*self._block_sums(high, bits))
 
+    def sweep(self, prefix_word: int, low_bits: int, tracker) -> None:
+        """Offer ``tracker`` the words that share ``prefix_word``'s bits
+        from ``low_bits`` up, in blocks of up to 2**``_BLOCK_BITS``
+        consecutive words, in ascending order."""
+        bits = min(low_bits, _BLOCK_BITS)
+        for high in range(prefix_word, prefix_word + (1 << low_bits), 1 << bits):
+            tracker.offer_block(high, self.errors_for_block(high, bits))
+
     def _block_sums(self, high: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
         """Class sums (d, 2, 2**bits) and class counts (2, 2**bits) of the
         words of ``errors_for_block``, laid out as ``_errors_of_sums``
@@ -442,9 +460,28 @@ class _CentroidEvaluator:
         return sums, counts
 
 
+# --- Gray-code enumeration --------------------------------------------------
+
+#: Flipped bit of steps 1..4095 of a reflected-Gray sweep (the number of
+#: trailing zeros of the step).  Wider sweeps repeat it between flips of
+#: their higher bits, so the table stays 4 KiB for any width.
+_RULER_BITS = 12
+_RULER = bytes((s & -s).bit_length() - 1 for s in range(1, 1 << _RULER_BITS))
+
+
+def _gray_flip_blocks(bits: int):
+    """Yield the flip indices of a ``bits``-wide reflected-Gray sweep in
+    bytes blocks.  Applied from word 0, the joined flips visit every
+    ``bits``-bit word once; the word after step s is ``s ^ (s >> 1)``."""
+    inner = min(bits, _RULER_BITS)
+    yield _RULER[: (1 << inner) - 1]
+    for block in range(1, 1 << (bits - inner)):
+        yield bytes(((block & -block).bit_length() - 1 + _RULER_BITS,)) + _RULER
+
+
 class _OneNNEvaluator:
-    """One-nearest-neighbor learner driven by single-bit flips or word
-    batches.
+    """One-nearest-neighbor learner driven by single-bit flips, word
+    batches or Gray sweeps.
 
     The trusted-to-pool nearest index is computed once and reduced to
     per-item class tallies: y0[i] and y1[i] count the trusted points of
@@ -463,11 +500,8 @@ class _OneNNEvaluator:
         self.word = 0
         self._errors = 0
         self._delta: list[int] = []
-        # errors of the all-zeros word, and the summed change from
-        # setting the bits of each byte value
-        self._base = sum(self._y1)
-        gains = np.subtract(self._y0, self._y1, dtype=np.int64)
-        self._tables = _byte_subset_sums(gains[:, None])
+        self._base = sum(self._y1)  # errors of the all-zeros word
+        self._tables = None
 
     def reset(self, word: int) -> int:
         self.word = word
@@ -488,7 +522,29 @@ class _OneNNEvaluator:
         return self._errors
 
     def errors_for_words(self, words: np.ndarray) -> np.ndarray:
+        if self._tables is None:
+            # the summed change from setting the bits of each byte value
+            gains = np.subtract(self._y0, self._y1, dtype=np.int64)
+            self._tables = _byte_subset_sums(gains[:, None])
         return self._base + _sum_byte_tables(self._tables, words)[0]
+
+    def sweep(self, prefix_word: int, low_bits: int, tracker) -> None:
+        """Walk the words that share ``prefix_word``'s bits from
+        ``low_bits`` up in Gray order, from a fresh reset.
+
+        Only candidates that tie or beat the best so far reach the
+        tracker; the others could not change it.
+        """
+        best = self.reset(prefix_word)
+        tracker.offer(prefix_word, best)
+        flip, errors, offer = self.flip, self.errors, tracker.offer
+        for block in _gray_flip_blocks(low_bits):
+            for i in block:
+                flip(i)
+                err = errors()
+                if err <= best:
+                    offer(self.word, err)
+                    best = err
 
 
 def _make_evaluator(kind: str, pool_x, ax, ay):

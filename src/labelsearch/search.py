@@ -1,17 +1,12 @@
 """Search over the 2**n labelings of an unlabeled pool.
 
 The exhaustive searcher splits the labeling hypercube into subcubes by
-the top bits of the word.  The centroid learner scores each subcube in
-blocks of consecutive words (``learners._BLOCK_BITS``); every word's
-class sums are the left folds of its rows in ascending pool index, so
-its score does not depend on where the subcubes or blocks split.  The
-one-NN learner walks each subcube in reflected-Gray order, so
-consecutive candidates differ in one bit and its state is updated
-instead of refit.  That order comes from one place, the 4095-step ruler
-behind ``_gray_flip_blocks`` (the loopless reflected-Gray walk of
-Bitner, Ehrlich and Reingold, CACM 19(9), 1976); it is the package's
-only Gray code.  Subcube results merge associatively, making the
-outcome independent of worker count and scheduling.
+the top bits of the word and has each subcube swept by the learner's
+evaluator (``sweep`` in ``learners``), which offers its candidate
+optima to a fresh tracker; how a learner walks a subcube is decided
+there, and a word scores the same whichever subcube it falls in.
+Subcube results merge associatively, making the outcome independent of
+worker count and scheduling.
 
 Parallel sweeps run on a group of worker processes forked once, the
 first time a call asks for more than one worker, and kept for the life
@@ -38,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_LABELING_BITS, Labeling, SearchOutcome, Task
-from .learners import _BLOCK_BITS, CENTROID, _check_kind, _make_evaluator
+from .core import MAX_LABELING_BITS, Labeling, SearchOutcome, Task, _check_integer
+from .learners import CENTROID, _check_kind, _make_evaluator
 
 #: Default / hard ceiling on pool size for exhaustive sweeps.  Runtime is
 #: the experiment here, so the refusal is a guard rail, not a nuisance.
@@ -60,25 +55,6 @@ _WORD_CHUNK = 8192
 HEURISTIC_KINDS = ("random", "greedy-flip", "anneal")
 
 
-# --- Gray-code enumeration --------------------------------------------------
-
-#: Flipped bit of steps 1..4095 of a reflected-Gray sweep (the number of
-#: trailing zeros of the step).  Wider sweeps repeat it between flips of
-#: their higher bits, so the table stays 4 KiB for any width.
-_RULER_BITS = 12
-_RULER = bytes((s & -s).bit_length() - 1 for s in range(1, 1 << _RULER_BITS))
-
-
-def _gray_flip_blocks(bits: int):
-    """Yield the flip indices of a ``bits``-wide reflected-Gray sweep in
-    bytes blocks.  Applied from word 0, the joined flips visit every
-    ``bits``-bit word once; the word after step s is ``s ^ (s >> 1)``."""
-    inner = min(bits, _RULER_BITS)
-    yield _RULER[: (1 << inner) - 1]
-    for block in range(1, 1 << (bits - inner)):
-        yield bytes(((block & -block).bit_length() - 1 + _RULER_BITS,)) + _RULER
-
-
 # --- optimum tracking -------------------------------------------------------
 
 class _SmallestTracker:
@@ -86,7 +62,8 @@ class _SmallestTracker:
 
     Meant for enumerations that visit each word at most once: the count
     is exact and the kept list is the ``ARGMIN_CAP`` smallest optimum
-    words (max-heap of negated words).
+    words (max-heap of negated words).  Words come one at a time from
+    ``offer`` or in blocks of consecutive words from ``offer_block``.
     """
 
     def __init__(self):
@@ -106,36 +83,24 @@ class _SmallestTracker:
             elif -self._heap[0] > word:
                 heapq.heapreplace(self._heap, -word)
 
-    def sorted_words(self) -> list[int]:
-        return sorted(-w for w in self._heap)
-
-
-class _BlockTracker:
-    """``_SmallestTracker`` for blocks of consecutive words offered in
-    ascending word order: the first ``ARGMIN_CAP`` optimum words seen are
-    the smallest."""
-
-    def __init__(self):
-        self.best: int | None = None
-        self.count = 0
-        self._words: list[np.ndarray] = []
-
     def offer_block(self, first_word: int, errs: np.ndarray) -> None:
-        """Offer the words ``first_word + j`` with errors ``errs[j]``."""
+        """Offer the words ``first_word + j`` with errors ``errs[j]``, all
+        above every word offered before, so that once the list is full
+        none of them can enter it."""
         low = int(errs.min())
         if self.best is not None and low > self.best:
             return
         if self.best is None or low < self.best:
             self.best = low
             self.count = 0
-            self._words = []
+            self._heap = []
         hits = np.flatnonzero(errs == low)
-        if self.count < ARGMIN_CAP:
-            self._words.append(hits[: ARGMIN_CAP - self.count] + first_word)
+        for j in hits[: ARGMIN_CAP - len(self._heap)].tolist():
+            heapq.heappush(self._heap, -(first_word + j))
         self.count += hits.size
 
     def sorted_words(self) -> list[int]:
-        return np.concatenate(self._words).tolist()
+        return sorted(-w for w in self._heap)
 
 
 class _DedupeTracker:
@@ -170,75 +135,42 @@ class _DedupeTracker:
 
 # --- exhaustive search ------------------------------------------------------
 
-def _sweep_subcube(evaluator, prefix_word: int, low_bits: int) -> _SmallestTracker:
-    """Walk the words that share ``prefix_word``'s high bits in Gray order.
-
-    Only candidates that tie or beat the best so far reach the tracker;
-    the others could not change it.
-    """
-    tracker = _SmallestTracker()
-    best = evaluator.reset(prefix_word)
-    tracker.offer(prefix_word, best)
-    flip, errors, offer = evaluator.flip, evaluator.errors, tracker.offer
-    for block in _gray_flip_blocks(low_bits):
-        for i in block:
-            flip(i)
-            err = errors()
-            if err <= best:
-                offer(evaluator.word, err)
-                best = err
-    return tracker
-
-
-def _sweep_blocks(evaluator, prefix_word: int, low_bits: int) -> _BlockTracker:
-    """Score the words that share ``prefix_word``'s high bits in blocks
-    of up to 2**``_BLOCK_BITS`` consecutive words, in ascending order."""
-    tracker = _BlockTracker()
-    bits = min(low_bits, _BLOCK_BITS)
-    for high in range(prefix_word, prefix_word + (1 << low_bits), 1 << bits):
-        tracker.offer_block(high, evaluator.errors_for_block(high, bits))
-    return tracker
-
-
-#: The last evaluator ``_run_sweep_jobs`` built in this process, with
-#: copies of the task arrays it was built from and the learner kind.
-_cached_evaluator = None
+#: Per learner kind, the last evaluator ``_run_sweep_jobs`` built in this
+#: process, with copies of the task arrays it was built from.
+_cached_evaluators: dict = {}
 
 
 def _evaluator_for(kind: str, pool_x, ax, ay):
-    """The previous call's evaluator if it was built for equal task
-    arrays and the same kind, else a new one, built from copies."""
-    global _cached_evaluator
+    """The kind's previous evaluator if it was built for equal task
+    arrays, else a new one, built from copies."""
     arrays = (pool_x, ax, ay)
-    if _cached_evaluator is not None:
-        cached_kind, cached_arrays, evaluator = _cached_evaluator
-        if cached_kind == kind and all(
-            a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
-            for a, b in zip(cached_arrays, arrays)
-        ):
-            return evaluator
+    cached = _cached_evaluators.get(kind)
+    if cached is not None and all(
+        a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+        for a, b in zip(cached[0], arrays)
+    ):
+        return cached[1]
     arrays = tuple(np.array(a) for a in arrays)
     evaluator = _make_evaluator(kind, *arrays)
-    _cached_evaluator = (kind, arrays, evaluator)
+    _cached_evaluators[kind] = (arrays, evaluator)
     return evaluator
 
 
 def _run_sweep_jobs(payload):
     """Sweep a batch of subcubes; runs in this process or in a worker.
 
-    Each job fixes the top bits of the word (the subcube prefix) and
-    sweeps the remaining low bits: in Gray order from a freshly reset
-    state for one-NN, in blocks for the centroid learner.  Returns
-    per-job (prefix, best errors, capped sorted optimum words, exact
-    optimum count, evaluations, busy seconds).
+    Each job fixes the top bits of the word (the subcube prefix) and the
+    evaluator sweeps the remaining low bits into a fresh tracker.
+    Returns per-job (prefix, best errors, capped sorted optimum words,
+    exact optimum count, evaluations, busy seconds).
     """
     pool_x, ax, ay, kind, jobs = payload
     evaluator = _evaluator_for(kind, pool_x, ax, ay)
-    sweep = _sweep_blocks if kind == CENTROID else _sweep_subcube
     results = []
     for prefix_word, low_bits in jobs:
         start = time.perf_counter()
-        tracker = sweep(evaluator, prefix_word, low_bits)
+        tracker = _SmallestTracker()
+        evaluator.sweep(prefix_word, low_bits, tracker)
         busy = time.perf_counter() - start
         results.append((prefix_word, tracker.best, tracker.sorted_words(), tracker.count, 1 << low_bits, busy))
     return results
@@ -390,6 +322,7 @@ def _run_on_group(base: tuple, shares: list) -> list:
 
 
 def _check_exhaustive_cap(n: int, cap: int) -> None:
+    _check_integer("cap", cap)
     if not 1 <= cap <= HARD_EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive cap must be in [1, {HARD_EXHAUSTIVE_CAP}], got {cap}")
     if n < 1:
@@ -402,7 +335,7 @@ def _check_exhaustive_cap(n: int, cap: int) -> None:
 
 
 def _check_workers(workers: int) -> int:
-    workers = int(workers)
+    workers = _check_integer("workers", workers)
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     return workers
@@ -556,6 +489,8 @@ class HeuristicConfig:
     def __post_init__(self):
         if self.kind not in HEURISTIC_KINDS:
             raise ValueError(f"unknown heuristic kind {self.kind!r}; expected one of {HEURISTIC_KINDS}")
+        for name in ("budget", "restarts", "rng_seed"):
+            _check_integer(name, getattr(self, name))
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.restarts < 1:
@@ -767,6 +702,8 @@ def chance_hit_experiment(
     number of optimum words k_opt, then draws ``trials`` uniform words;
     the predicted hit rate is k_opt / 2**n.
     """
+    _check_integer("trials", trials)
+    _check_integer("rng_seed", rng_seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     outcome = exhaustive_search(task, learner_kind, workers=1, cap=cap)

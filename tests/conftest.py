@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from labelsearch import TaskSpec, generate_task, search
-from labelsearch.search import _gray_flip_blocks
+from labelsearch.learners import _gray_flip_blocks
 
 hypothesis.settings.register_profile(
     "ci", max_examples=40, deadline=None, derandomize=True

@@ -101,6 +101,42 @@ def test_bad_worker_counts_exit_one_before_any_process_starts(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, message", [
+    (["search", "exhaustive"], {"workers": 2.7}, "workers must be an integer, got 2.7"),
+    (["search", "exhaustive"], {"workers": "2"}, "workers must be an integer, got '2'"),
+    (["search", "exhaustive"], {"cap": 24.5}, "cap must be an integer, got 24.5"),
+    (["search", "random"], {"budget": 9.9}, "budget must be an integer, got 9.9"),
+    (["search", "greedy"], {"restarts": True}, "restarts must be an integer, got True"),
+    (["search", "anneal"], {"seed": 1.5}, "rng_seed must be an integer, got 1.5"),
+    (["chance-hit"], {"trials": 1e3}, "trials must be an integer, got 1000.0"),
+    (["baseline", "selftrain"], {"max_rounds": 2.5}, "max_rounds must be an integer, got 2.5"),
+])
+def test_config_counts_that_are_not_integers_exit_one(tmp_path, capsys, command, config, message):
+    task = _gen(tmp_path, n=6)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "never.json"
+    rc = main([*command, "--task", str(task), "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    (["gen-data", "--out", "{tmp}/task.json"], {"m": 4, "n": 6.0}, "n must be an integer, got 6.0"),
+    (["gen-data", "--out", "{tmp}/task.json"], {"m": 4, "n": 6, "seed": "1"}, "seed must be an integer, got '1'"),
+    (["scaling", "--n-values", "4:5", "--out-csv", "{tmp}/s.csv"], {"m": 3.5}, "m must be an integer, got 3.5"),
+    (["scaling", "--n-values", "4:5", "--out-csv", "{tmp}/s.csv"], {"workers": 1.0}, "workers must be an integer, got 1.0"),
+])
+def test_config_task_integers_that_are_not_integers_exit_one(tmp_path, capsys, command, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = main([arg.format(tmp=tmp_path) for arg in command] + ["--config", str(path)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("task.json")) and not list(tmp_path.glob("s.csv"))
+
+
 def test_argument_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["search", "exhaustive"])  # missing --task/--out

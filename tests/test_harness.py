@@ -117,6 +117,14 @@ def test_conventional_without_ground_truth_reports_only_holdout():
     assert result["mu_on_A_holdout"] is not None
 
 
+@pytest.mark.parametrize("field", ["m", "n", "d", "seed"])
+@pytest.mark.parametrize("value", [4.0, True, "4"])
+def test_spec_refuses_integer_fields_that_are_not_integers(field, value):
+    fields = dict(m=4, n=6, d=2, separation=1.0, noise_sigma=1.0, seed=0)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        TaskSpec(**{**fields, field: value})
+
+
 # --- self-training ----------------------------------------------------------
 
 def test_self_training_rejects_bad_parameters():
@@ -212,6 +220,19 @@ def test_scaling_report_serializations():
     assert set(doc) >= {"spec", "results", "slope"}
     assert [row["n"] for row in doc["results"]] == [6, 7, 8]
     assert doc["spec"]["learner"] == "onenn"
+
+
+@pytest.mark.parametrize("name, call", [
+    ("max_rounds", lambda task, template: self_training_baseline(task, max_rounds=2.5)),
+    ("max_rounds", lambda task, template: self_training_baseline(task, max_rounds=True)),
+    ("n", lambda task, template: scaling_experiment([4, 5.5], template)),
+    ("workers", lambda task, template: scaling_experiment([4], template, workers=2.7)),
+    ("cap", lambda task, template: scaling_experiment([4], template, cap=10.5)),
+])
+def test_harness_refuses_count_parameters_that_are_not_integers(name, call):
+    template = TaskSpec(m=4, n=6, d=2, separation=1.0, noise_sigma=1.0, seed=0)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(generate_task(template), template)
 
 
 def test_scaling_rejects_oversized_n():

@@ -89,7 +89,7 @@ def test_gray_flip_blocks_follow_the_cursor(bits):
         return step ^ (step >> 1)
 
     expected = bytes((code(s) ^ code(s - 1)).bit_length() - 1 for s in range(1, 1 << bits))
-    assert b"".join(search._gray_flip_blocks(bits)) == expected
+    assert b"".join(learners._gray_flip_blocks(bits)) == expected
 
 
 # --- exhaustive search ------------------------------------------------------
@@ -385,6 +385,70 @@ def test_argmin_list_cap_keeps_smallest_words():
     assert out.argmin_count == words.size
     assert [lab.bits for lab in out.argmin_labelings] == words[:ARGMIN_CAP].tolist()
     assert len(out.argmin_labelings) <= ARGMIN_CAP
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_capped_centroid_optima_span_blocks_and_subcubes(workers):
+    # 1275 optima of 4096 words; the 1024 smallest run up to word 3692,
+    # across the 512-word blocks and the 1, 2 or 4 subcubes of the sweep
+    task = generate_task(TaskSpec(m=2, n=12, d=1, separation=0.5, noise_sigma=1.0, seed=4))
+    best, words = naive_best(task, "centroid")
+    assert len(words) > ARGMIN_CAP and words[ARGMIN_CAP - 1] > 3 << 10
+    out = exhaustive_search(task, "centroid", workers=workers)
+    assert out.best_mu == best / task.m
+    assert out.argmin_count == len(words)
+    assert [lab.bits for lab in out.argmin_labelings] == words[:ARGMIN_CAP]
+
+
+def _tracker_streams():
+    rng = np.random.default_rng(7)
+    # ties fill the list, then a lower best arrives in a later block
+    late = np.full(3000, 4)
+    late[2600] = late[2900:2950] = 1
+    return {
+        "lower best after a full list": late,
+        "random errors": rng.integers(0, 3, size=2500),
+        "every word optimal": np.zeros(2100, dtype=np.int64),
+    }
+
+
+@pytest.mark.parametrize("stream", sorted(_tracker_streams()))
+@pytest.mark.parametrize("block", [1, 100, 512])
+def test_smallest_tracker_blocks_equal_word_by_word_offers(stream, block):
+    errs = _tracker_streams()[stream]
+    first = 5 << 20
+    by_block, by_word = search._SmallestTracker(), search._SmallestTracker()
+    for start in range(0, errs.size, block):
+        by_block.offer_block(first + start, errs[start : start + block])
+    for j, err in enumerate(errs.tolist()):
+        by_word.offer(first + j, err)
+    optima = (np.flatnonzero(errs == errs.min()) + first).tolist()
+    for tracker in (by_block, by_word):
+        assert tracker.best == errs.min()
+        assert tracker.count == len(optima)
+        assert tracker.sorted_words() == optima[:ARGMIN_CAP]
+
+
+# --- integer parameters -----------------------------------------------------
+
+@pytest.mark.parametrize("name, call", [
+    ("workers", lambda task: exhaustive_search(task, workers=2.7)),
+    ("workers", lambda task: exhaustive_search(task, workers=True)),
+    ("workers", lambda task: exhaustive_search(task, workers="2")),
+    ("cap", lambda task: exhaustive_search(task, cap=24.5)),
+    ("budget", lambda task: HeuristicConfig(kind="random", budget=2.5)),
+    ("budget", lambda task: HeuristicConfig(kind="greedy-flip", budget=2.5)),
+    ("budget", lambda task: HeuristicConfig(kind="anneal", budget=True)),
+    ("restarts", lambda task: HeuristicConfig(kind="greedy-flip", budget=10, restarts=1.5)),
+    ("rng_seed", lambda task: HeuristicConfig(kind="anneal", budget=10, rng_seed=3.0)),
+    ("trials", lambda task: chance_hit_experiment(task, 2.5)),
+    ("rng_seed", lambda task: chance_hit_experiment(task, 10, rng_seed=0.5)),
+    ("cap", lambda task: chance_hit_experiment(task, 10, cap=24.5)),
+])
+def test_search_refuses_count_parameters_that_are_not_integers(name, call):
+    task = generate_task(TaskSpec(m=4, n=6, d=2, separation=1.0, noise_sigma=1.0, seed=0))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(task)
 
 
 # --- batched word evaluation ------------------------------------------------
