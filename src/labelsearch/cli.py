@@ -172,7 +172,7 @@ def _run_search(parser, ns) -> int:
         "n": task.n,
         "learner": cfg["learner"],
         "best_mu": outcome.best_mu,
-        "argmin_labelings": [lab.bits for lab in outcome.argmin_labelings],
+        "argmin_labelings": list(outcome.argmin_words),
         "argmin_count": outcome.argmin_count,
         "evaluations": outcome.evaluations,
         "elapsed_s": outcome.elapsed,

@@ -66,6 +66,14 @@ def _check_binary(labels: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must contain only 0/1 values")
 
 
+def _binary_array(values, name: str) -> np.ndarray:
+    """``values`` as a frozen int8 array, checked before the cast so
+    that a fraction or an out-of-range label is refused, not truncated."""
+    labels = np.asarray(values)
+    _check_binary(labels, name)
+    return _frozen_array(labels, np.int8)
+
+
 @dataclass(frozen=True)
 class TrustedSet:
     """The small labeled sample carrying ground truth.
@@ -80,11 +88,10 @@ class TrustedSet:
 
     def __post_init__(self):
         x = _frozen_array(self.x, np.float64)
-        y = _frozen_array(self.y, np.int8)
+        y = _binary_array(self.y, "trusted labels")
         _check_feature_matrix(x, "trusted set features")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise ValueError("trusted labels must be one per feature row")
-        _check_binary(y, "trusted labels")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -142,9 +149,9 @@ class Labeling:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of a search over labelings.
+    """Result of a search over the labelings of an ``n``-item pool.
 
-    ``argmin_labelings`` holds the words achieving ``best_mu``, sorted
+    ``argmin_words`` holds the words achieving ``best_mu``, sorted
     ascending and capped at ``search.ARGMIN_CAP`` (1024) words.
     ``argmin_count`` is the number of optima found.  It is exact for
     exhaustive sweeps, which count beyond the cap, and for random
@@ -157,7 +164,8 @@ class SearchOutcome:
     """
 
     best_mu: float
-    argmin_labelings: tuple[Labeling, ...]
+    n: int
+    argmin_words: tuple[int, ...]
     argmin_count: int
     evaluations: int
     elapsed: float
@@ -166,11 +174,20 @@ class SearchOutcome:
     def __post_init__(self):
         if self.evaluations < 1:
             raise ValueError("a search outcome needs at least one evaluation")
-        if not self.argmin_labelings:
+        words = self.argmin_words
+        if not words:
             raise ValueError("argmin list must be nonempty")
-        words = [lab.bits for lab in self.argmin_labelings]
-        if words != sorted(words):
+        if any(a >= b for a, b in zip(words, words[1:])):
             raise ValueError("argmin list must be sorted ascending by word")
+        if words[0] < 0 or words[-1] >> self.n:
+            raise ValueError(f"argmin words out of range for {self.n} bits")
+
+    @property
+    def argmin_labelings(self) -> tuple[Labeling, ...]:
+        """``argmin_words`` as ``Labeling``s, built on each read.  Only
+        the benchmark (``perfbench``) reads this; the library and the
+        CLI use the words."""
+        return tuple(Labeling(w, self.n) for w in self.argmin_words)
 
 
 @dataclass(frozen=True)
@@ -192,10 +209,9 @@ class Task:
                 f"trusted set dimension {self.trusted.d} != pool dimension {self.pool.d}"
             )
         if self.ground_truth is not None:
-            gt = _frozen_array(self.ground_truth, np.int8)
+            gt = _binary_array(self.ground_truth, "ground truth labels")
             if gt.ndim != 1 or gt.shape[0] != self.pool.n:
                 raise ValueError("ground truth must assign one label per pool item")
-            _check_binary(gt, "ground truth labels")
             object.__setattr__(self, "ground_truth", gt)
 
     @property
@@ -245,22 +261,30 @@ def task_to_dict(task: Task) -> dict:
     return doc
 
 
-def task_from_dict(doc: dict) -> Task:
+def task_from_dict(doc) -> Task:
+    """Build a task from a parsed task document, refusing a malformed
+    one with ``ValueError``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"task document must be a JSON object, got {type(doc).__name__}")
     for key in ("d", "A", "B", "seed"):
         if key not in doc:
             raise ValueError(f"task document missing required field {key!r}")
-    d = int(doc["d"])
-    ax = np.array([entry["x"] for entry in doc["A"]], dtype=np.float64)
-    ay = np.array([entry["y"] for entry in doc["A"]], dtype=np.int8)
-    bx = np.array(doc["B"], dtype=np.float64)
+    d = _check_integer("d", doc["d"])
+    entries = doc["A"]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) and "x" in e and "y" in e for e in entries):
+        raise ValueError("task document field 'A' must be a list of objects with fields 'x' and 'y'")
+    try:
+        ax = np.array([entry["x"] for entry in entries], dtype=np.float64)
+        bx = np.array(doc["B"], dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"task document coordinates must be numbers: {exc}") from None
     if ax.ndim != 2 or ax.shape[1] != d or bx.ndim != 2 or bx.shape[1] != d:
         raise ValueError("task document feature widths disagree with field 'd'")
-    gt = doc.get("ground_truth_B")
     return Task(
-        trusted=TrustedSet(ax, ay),
+        trusted=TrustedSet(ax, [entry["y"] for entry in entries]),
         pool=UnlabeledPool(bx),
-        ground_truth=None if gt is None else np.asarray(gt, dtype=np.int8),
-        seed=int(doc["seed"]),
+        ground_truth=doc.get("ground_truth_B"),
+        seed=_check_integer("seed", doc["seed"]),
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import COORD_GRID, Task, TrustedSet, UnlabeledPool, _check_integer, evaluate_mu
+from .core import COORD_GRID, SearchOutcome, Task, TrustedSet, UnlabeledPool, _check_integer, evaluate_mu
 from .learners import (
     CENTROID,
     _check_kind,
@@ -218,22 +218,11 @@ def self_training_baseline(
 # --- scaling experiment -----------------------------------------------------
 
 @dataclass(frozen=True)
-class ScalingRow:
-    n: int
-    evaluations: int
-    best_mu: float
-    total_time: float
-    mean_eval_time: float
-    argmin_count: int
-    argmin_words: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ScalingReport:
-    """Per-n exhaustive sweep timings plus the fitted growth exponent
-    of log2(total_time) against n."""
+    """Per-n exhaustive sweep outcomes plus the fitted growth exponent
+    of log2(elapsed) against n."""
 
-    rows: tuple[ScalingRow, ...]
+    rows: tuple[SearchOutcome, ...]
     fitted_slope: float
     slope_stderr: float
     workers: int
@@ -288,29 +277,15 @@ def scaling_experiment(
 
     # warm-up sweep: primes caches and the workers, result discarded
     exhaustive_search(task_for(ns[0]), learner_kind, workers, cap)
-    rows = []
-    for n in ns:
-        outcome = exhaustive_search(task_for(n), learner_kind, workers, cap)
-        rows.append(
-            ScalingRow(
-                n=n,
-                evaluations=outcome.evaluations,
-                best_mu=outcome.best_mu,
-                total_time=outcome.elapsed,
-                mean_eval_time=outcome.mean_eval_time,
-                argmin_count=outcome.argmin_count,
-                argmin_words=tuple(lab.bits for lab in outcome.argmin_labelings),
-            )
-        )
-
-    slope, stderr = fit_log2_slope([r.n for r in rows], [r.total_time for r in rows])
-    return ScalingReport(rows=tuple(rows), fitted_slope=slope, slope_stderr=stderr, workers=workers)
+    rows = tuple(exhaustive_search(task_for(n), learner_kind, workers, cap) for n in ns)
+    slope, stderr = fit_log2_slope(ns, [r.elapsed for r in rows])
+    return ScalingReport(rows=rows, fitted_slope=slope, slope_stderr=stderr, workers=workers)
 
 
 def scaling_report_csv(report: ScalingReport) -> str:
     lines = ["n,evaluations,best_mu,total_time,mean_eval_time"]
     for r in report.rows:
-        lines.append(f"{r.n},{r.evaluations},{r.best_mu},{r.total_time},{r.mean_eval_time}")
+        lines.append(f"{r.n},{r.evaluations},{r.best_mu},{r.elapsed},{r.mean_eval_time}")
     return "\n".join(lines) + "\n"
 
 
@@ -330,7 +305,7 @@ def scaling_report_json(report: ScalingReport, template: TaskSpec, learner_kind:
                 "evaluations": r.evaluations,
                 "best_mu": r.best_mu,
                 "argmin_count": r.argmin_count,
-                "total_time": r.total_time,
+                "total_time": r.elapsed,
                 "mean_eval_time": r.mean_eval_time,
             }
             for r in report.rows

@@ -46,7 +46,7 @@ from operator import add, sub
 
 import numpy as np
 
-from .core import Labeling, TrustedSet, UnlabeledPool
+from .core import Labeling, TrustedSet, UnlabeledPool, _check_binary
 
 CENTROID = "centroid"
 ONE_NN = "onenn"
@@ -66,12 +66,11 @@ def _as_label_array(labels, n: int) -> np.ndarray:
         if labels.n != n:
             raise ValueError(f"labeling width {labels.n} != pool size {n}")
         return labels.labels()
-    arr = np.asarray(labels, dtype=np.int8)
+    arr = np.asarray(labels)
     if arr.ndim != 1 or arr.shape[0] != n:
         raise ValueError(f"expected {n} labels, got shape {arr.shape}")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("labels must be 0/1")
-    return arr.copy()
+    _check_binary(arr, "labels")
+    return arr.astype(np.int8)
 
 
 def class_sums_and_counts(pool_x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:

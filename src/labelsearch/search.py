@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_LABELING_BITS, Labeling, SearchOutcome, Task, _check_integer
+from .core import MAX_LABELING_BITS, SearchOutcome, Task, _check_integer
 from .learners import CENTROID, _check_kind, _make_evaluator
 
 #: Default / hard ceiling on pool size for exhaustive sweeps.  Runtime is
@@ -399,7 +399,8 @@ def exhaustive_search(
 
     return SearchOutcome(
         best_mu=best / task.m,
-        argmin_labelings=tuple(Labeling(w, n) for w in words),
+        n=n,
+        argmin_words=tuple(words),
         argmin_count=count,
         evaluations=evaluations,
         elapsed=elapsed,
@@ -679,7 +680,8 @@ def heuristic_search(task: Task, learner_kind: str, config: HeuristicConfig) -> 
     elapsed = time.perf_counter() - started
     return SearchOutcome(
         best_mu=best / task.m,
-        argmin_labelings=tuple(Labeling(w, n) for w in listed),
+        n=n,
+        argmin_words=tuple(listed),
         argmin_count=count,
         evaluations=evals,
         elapsed=elapsed,

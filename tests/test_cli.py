@@ -156,6 +156,41 @@ def test_missing_task_file_is_a_runtime_refusal(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _first_label(value):
+    return lambda doc: doc | {"A": [doc["A"][0] | {"y": value}] + doc["A"][1:]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: 5, "task document must be a JSON object, got int"),
+    (lambda doc: [doc], "task document must be a JSON object, got list"),
+    (lambda doc: doc | {"A": [{"y": 1}] + doc["A"][1:]}, "field 'A' must be a list of objects"),
+    (lambda doc: doc | {"A": [{"x": [0.0, 0.0]}] + doc["A"][1:]}, "field 'A' must be a list of objects"),
+    (lambda doc: doc | {"A": 5}, "field 'A' must be a list of objects"),
+    (lambda doc: doc | {"B": [[{}, 0.0]] * 6}, "task document coordinates must be numbers"),
+    (lambda doc: doc | {"d": "2"}, "d must be an integer, got '2'"),
+    (lambda doc: doc | {"d": 2.0}, "d must be an integer, got 2.0"),
+    (lambda doc: doc | {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    (lambda doc: doc | {"seed": True}, "seed must be an integer, got True"),
+    (lambda doc: doc | {"seed": 1e30}, "seed must be an integer, got 1e+30"),
+    (_first_label(0.5), "trusted labels must contain only 0/1 values"),
+    (_first_label(1.9), "trusted labels must contain only 0/1 values"),
+    (_first_label(257), "trusted labels must contain only 0/1 values"),
+    (lambda doc: doc | {"ground_truth_B": [1.7] + doc["ground_truth_B"][1:]},
+     "ground truth labels must contain only 0/1 values"),
+], ids=["number", "list", "entry-without-x", "entry-without-y", "A-not-a-list", "object-coordinate",
+        "d-string", "d-float", "seed-fraction", "seed-bool", "seed-1e30",
+        "y-0.5", "y-1.9", "y-257", "ground-truth-1.7"])
+def test_malformed_task_documents_exit_one_with_message(tmp_path, capsys, edit, message):
+    task = _gen(tmp_path, n=6)
+    task.write_text(json.dumps(edit(json.loads(task.read_text()))))
+    out = tmp_path / "never.json"
+    rc = main(["search", "exhaustive", "--task", str(task), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_dead_sweep_worker_exits_one_with_message(tmp_path, capsys, monkeypatch):
     task = _gen(tmp_path, n=10)
     parent = os.getpid()

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from labelsearch import (
     Labeling,
+    SearchOutcome,
     Task,
     TrustedSet,
     UnlabeledPool,
@@ -49,6 +50,33 @@ def test_labeling_array_round_trip():
     word = pack_word([1, 0, 0, 1, 1])
     assert word == 0b11001
     assert Labeling(word, 5).labels().tolist() == [1, 0, 0, 1, 1]
+
+
+# --- search outcomes -------------------------------------------------------
+
+def _outcome(n, words):
+    return SearchOutcome(best_mu=0.0, n=n, argmin_words=tuple(words), argmin_count=len(words),
+                         evaluations=1 << n, elapsed=0.0, mean_eval_time=0.0)
+
+
+@pytest.mark.parametrize("n, words", [
+    (3, []),
+    (3, [5, 2]),
+    (3, [2, 2]),
+    (3, [-1, 2]),
+    (3, [2, 8]),
+    (63, [1 << 63]),
+])
+def test_search_outcome_refuses_bad_optimum_lists(n, words):
+    with pytest.raises(ValueError, match="argmin"):
+        _outcome(n, words)
+
+
+def test_search_outcome_lists_its_optima_as_labelings():
+    out = _outcome(3, [0, 5, 7])
+    assert out.argmin_labelings == (Labeling(0, 3), Labeling(5, 3), Labeling(7, 3))
+    assert [lab.bits for lab in out.argmin_labelings] == list(out.argmin_words)
+    assert all(lab.n == 3 for lab in out.argmin_labelings)
 
 
 # --- mu evaluation ----------------------------------------------------------
@@ -109,6 +137,15 @@ def test_trusted_set_rejects_bad_inputs():
         TrustedSet(np.ones((2, 2)), np.array([0]))
     with pytest.raises(ValueError):
         TrustedSet(np.ones((0, 2)), np.array([]))
+
+
+@pytest.mark.parametrize("labels", [[0, 0.5], [0, 1.9], [0, 257], [0, "1"], [0, None]])
+def test_labels_that_are_not_zero_or_one_are_refused_not_truncated(labels):
+    with pytest.raises(ValueError, match="trusted labels must contain only 0/1"):
+        TrustedSet(np.ones((2, 2)), labels)
+    with pytest.raises(ValueError, match="ground truth labels must contain only 0/1"):
+        Task(trusted=TrustedSet(np.ones((2, 2)), [0, 1]), pool=UnlabeledPool(np.ones((2, 2))),
+             ground_truth=labels)
 
 
 def test_task_rejects_dimension_mismatch():

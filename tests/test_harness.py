@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -210,15 +212,27 @@ def test_scaling_mean_eval_time_is_stable():
 def test_scaling_report_serializations():
     template = TaskSpec(m=4, n=8, d=1, separation=2.0, noise_sigma=1.0, seed=40)
     report = scaling_experiment([6, 7, 8], template, "onenn", workers=1)
+    expected = [
+        exhaustive_search(generate_task(replace(template, n=n, seed=template.seed + n)), "onenn")
+        for n in (6, 7, 8)
+    ]
     csv_text = scaling_report_csv(report)
     lines = csv_text.strip().split("\n")
     assert lines[0] == "n,evaluations,best_mu,total_time,mean_eval_time"
     assert len(lines) == 4
+    for line, out in zip(lines[1:], expected):
+        n, evaluations, best_mu, total_time, _ = line.split(",")
+        assert (int(n), int(evaluations), float(best_mu)) == (out.n, out.evaluations, out.best_mu)
+        assert float(total_time) > 0
     import json
 
     doc = json.loads(scaling_report_json(report, template, "onenn"))
     assert set(doc) >= {"spec", "results", "slope"}
     assert [row["n"] for row in doc["results"]] == [6, 7, 8]
+    for row, out in zip(doc["results"], expected):
+        assert (row["n"], row["evaluations"], row["best_mu"], row["argmin_count"]) == (
+            out.n, out.evaluations, out.best_mu, out.argmin_count)
+        assert row["total_time"] > 0
     assert doc["spec"]["learner"] == "onenn"
 
 

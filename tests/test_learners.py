@@ -53,6 +53,13 @@ def test_fit_rejects_unknown_kind():
         fit(pool, Labeling(0, 2), "svm")
 
 
+@pytest.mark.parametrize("labels", [[0.5, 1], [1.9, 0], [257, 0]])
+def test_fit_refuses_labels_that_are_not_zero_or_one(labels):
+    pool = UnlabeledPool(np.ones((2, 1)))
+    with pytest.raises(ValueError, match="0/1"):
+        fit(pool, labels, "centroid")
+
+
 def test_fit_accepts_label_arrays_of_any_length():
     # label sequences work beyond the 63-bit packed-word bound
     pool = UnlabeledPool(np.arange(70.0)[:, None])

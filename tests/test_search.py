@@ -98,7 +98,7 @@ def test_exhaustive_contains_ground_truth_on_separable_task():
     task = generate_task(TaskSpec(m=6, n=4, d=2, separation=12.0, noise_sigma=1.0, seed=4))
     out = exhaustive_search(task, "centroid")
     assert out.best_mu == 0.0
-    assert pack_word(task.ground_truth) in {lab.bits for lab in out.argmin_labelings}
+    assert pack_word(task.ground_truth) in out.argmin_words
 
 
 def test_exhaustive_evaluation_count_is_two_to_the_n():
@@ -113,7 +113,7 @@ def test_exhaustive_matches_naive_brute_force(kind):
     best, words = naive_best(task, kind)
     assert out.best_mu == best / task.m
     assert out.argmin_count == len(words)
-    assert [lab.bits for lab in out.argmin_labelings] == words[:ARGMIN_CAP]
+    assert list(out.argmin_words) == words[:ARGMIN_CAP]
 
 
 def test_exhaustive_is_worker_count_independent():
@@ -123,7 +123,7 @@ def test_exhaustive_is_worker_count_independent():
     for out in outcomes[1:]:
         assert out.best_mu == reference.best_mu
         assert out.argmin_count == reference.argmin_count
-        assert [l.bits for l in out.argmin_labelings] == [l.bits for l in reference.argmin_labelings]
+        assert out.argmin_words == reference.argmin_words
         assert out.evaluations == reference.evaluations
 
 
@@ -147,12 +147,12 @@ def test_centroid_sweep_matches_naive_at_block_boundaries(n):
             out = exhaustive_search(task, "centroid", workers=workers)
             assert out.best_mu == best / task.m
             assert out.argmin_count == len(words)
-            assert [lab.bits for lab in out.argmin_labelings] == words[:ARGMIN_CAP], (d, workers)
+            assert list(out.argmin_words) == words[:ARGMIN_CAP], (d, workers)
 
 
 def _summary(outcome):
     return (outcome.best_mu, outcome.argmin_count,
-            [lab.bits for lab in outcome.argmin_labelings], outcome.evaluations)
+            outcome.argmin_words, outcome.evaluations)
 
 
 @given(small_tasks(), learner_kinds)
@@ -364,7 +364,7 @@ def test_onenn_optimum_matches_the_closed_form(task):
     out = exhaustive_search(task, "onenn")
     assert out.best_mu == best / task.m
     assert out.argmin_count == k_opt
-    assert out.argmin_labelings[0].bits == smallest
+    assert out.argmin_words[0] == smallest
 
 
 def test_exhaustive_refuses_over_cap_naming_the_cap():
@@ -383,8 +383,8 @@ def test_argmin_list_cap_keeps_smallest_words():
     counts = naive_error_counts(task, "centroid")
     words = np.flatnonzero(counts == counts.min())
     assert out.argmin_count == words.size
-    assert [lab.bits for lab in out.argmin_labelings] == words[:ARGMIN_CAP].tolist()
-    assert len(out.argmin_labelings) <= ARGMIN_CAP
+    assert list(out.argmin_words) == words[:ARGMIN_CAP].tolist()
+    assert len(out.argmin_words) <= ARGMIN_CAP
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -397,7 +397,7 @@ def test_capped_centroid_optima_span_blocks_and_subcubes(workers):
     out = exhaustive_search(task, "centroid", workers=workers)
     assert out.best_mu == best / task.m
     assert out.argmin_count == len(words)
-    assert [lab.bits for lab in out.argmin_labelings] == words[:ARGMIN_CAP]
+    assert list(out.argmin_words) == words[:ARGMIN_CAP]
 
 
 def _tracker_streams():
@@ -590,7 +590,7 @@ def test_random_search_dominates_and_reproduces():
     second = heuristic_search(task, "centroid", config)
     assert first.best_mu >= exact.best_mu
     assert first.best_mu == second.best_mu
-    assert [l.bits for l in first.argmin_labelings] == [l.bits for l in second.argmin_labelings]
+    assert first.argmin_words == second.argmin_words
     assert first.evaluations == config.budget
 
 
@@ -637,7 +637,7 @@ def test_heuristics_never_beat_exhaustive(task, kind, data):
     assert out.best_mu >= exact.best_mu
     assert out.evaluations <= config.budget
     # every listed optimum really scores best_mu
-    words = np.array([lab.bits for lab in out.argmin_labelings], dtype=np.uint64)
+    words = np.array(out.argmin_words, dtype=np.uint64)
     assert np.all(error_counts_for_words(task, words, kind) == round(out.best_mu * task.m))
 
 
@@ -661,7 +661,7 @@ def test_heuristic_argmin_count_is_exact_below_the_cap(heuristic, kind):
     config = HeuristicConfig(kind=heuristic, budget=5000, restarts=400, rng_seed=3)
     for task in tasks:
         out = heuristic_search(task, kind, config)
-        assert out.argmin_count == len(out.argmin_labelings)
+        assert out.argmin_count == len(out.argmin_words)
 
 
 @given(small_tasks(max_n=10))
