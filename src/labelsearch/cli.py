@@ -34,7 +34,10 @@ from .harness import (
     scaling_report_json,
     self_training_baseline,
 )
+from .learners import CENTROID, KINDS
 from .search import (
+    DEFAULT_EXHAUSTIVE_CAP,
+    HARD_EXHAUSTIVE_CAP,
     MAX_WORKERS,
     HeuristicConfig,
     chance_hit_experiment,
@@ -61,7 +64,10 @@ def _parse_int_list(text: str) -> list[int]:
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    values = [int(part) for part in text.split(",") if part.strip() != ""]
+    if not values:
+        raise ValueError(f"no integers in {text!r}; expected 'LO:HI' or a comma list")
+    return values
 
 
 def _parse_regimes(text: str) -> list[costmodel.SpeedupRegime]:
@@ -142,9 +148,9 @@ def _run_gen_data(parser, ns) -> int:
 
 
 _SEARCH_DEFAULTS = {
-    "learner": "centroid",
+    "learner": CENTROID,
     "workers": _DEFAULT_WORKERS,
-    "cap": 24,
+    "cap": DEFAULT_EXHAUSTIVE_CAP,
     "budget": 4096,
     "restarts": 1,
     "t0": 1.0,
@@ -182,7 +188,7 @@ def _run_search(parser, ns) -> int:
     return 0
 
 
-_CHANCE_DEFAULTS = {"learner": "centroid", "trials": 100000, "seed": 0, "cap": 24}
+_CHANCE_DEFAULTS = {"learner": CENTROID, "trials": 100000, "seed": 0, "cap": DEFAULT_EXHAUSTIVE_CAP}
 
 
 def _run_chance_hit(parser, ns) -> int:
@@ -199,7 +205,7 @@ def _run_chance_hit(parser, ns) -> int:
     return 0
 
 
-_BASELINE_DEFAULTS = {"learner": "centroid", "quantile": 0.5, "max_rounds": 10}
+_BASELINE_DEFAULTS = {"learner": CENTROID, "quantile": 0.5, "max_rounds": 10}
 
 
 def _run_baseline(parser, ns) -> int:
@@ -224,9 +230,9 @@ _SCALING_DEFAULTS = {
     "sep": 4.0,
     "sigma": 1.0,
     "seed": 0,
-    "learner": "centroid",
+    "learner": CENTROID,
     "workers": _DEFAULT_WORKERS,
-    "cap": 24,
+    "cap": DEFAULT_EXHAUSTIVE_CAP,
     "out_csv": None,
     "out_json": None,
 }
@@ -311,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search labelings of a task's pool")
     p.add_argument("mode", choices=sorted(_SEARCH_MODES))
     p.add_argument("--task", default=S, help="task JSON path")
-    p.add_argument("--learner", choices=("centroid", "onenn"), default=S)
+    p.add_argument("--learner", choices=KINDS, default=S)
     p.add_argument("--workers", type=int, default=S, help=f"parallel workers, 1..{MAX_WORKERS} (exhaustive only)")
-    p.add_argument("--cap", type=int, default=S, help="exhaustive size cap (default 24, hard 32)")
+    p.add_argument("--cap", type=int, default=S,
+                   help=f"exhaustive size cap (default {DEFAULT_EXHAUSTIVE_CAP}, hard {HARD_EXHAUSTIVE_CAP})")
     p.add_argument("--budget", type=int, default=S, help="heuristic evaluation budget")
     p.add_argument("--restarts", type=int, default=S)
     p.add_argument("--t0", type=float, default=S, help="annealing initial temperature")
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chance-hit", help="uniform-labeling hit rate against the optimum")
     p.add_argument("--task", default=S)
-    p.add_argument("--learner", choices=("centroid", "onenn"), default=S)
+    p.add_argument("--learner", choices=KINDS, default=S)
     p.add_argument("--trials", type=int, default=S)
     p.add_argument("--seed", type=int, default=S)
     p.add_argument("--cap", type=int, default=S)
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="conventional or self-training baseline")
     p.add_argument("mode", choices=("conventional", "selftrain"))
     p.add_argument("--task", default=S)
-    p.add_argument("--learner", choices=("centroid", "onenn"), default=S)
+    p.add_argument("--learner", choices=KINDS, default=S)
     p.add_argument("--quantile", type=float, default=S, help="self-training confidence quantile in (0,1]")
     p.add_argument("--max-rounds", type=int, default=S)
     p.add_argument("--out", default=S)
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sep", type=float, default=S)
     p.add_argument("--sigma", type=float, default=S)
     p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--learner", choices=("centroid", "onenn"), default=S)
+    p.add_argument("--learner", choices=KINDS, default=S)
     p.add_argument("--workers", type=int, default=S, help=f"parallel workers, 1..{MAX_WORKERS}")
     p.add_argument("--cap", type=int, default=S)
     p.add_argument("--out-csv", default=S)

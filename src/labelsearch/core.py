@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
+import stat
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -154,7 +155,9 @@ class SearchOutcome:
     ``argmin_words`` holds the words achieving ``best_mu``, sorted
     ascending and capped at ``search.ARGMIN_CAP`` (1024) words.
     ``argmin_count`` is the number of optima found.  It is exact for
-    exhaustive sweeps, which count beyond the cap, and for random
+    exhaustive sweeps, which count beyond the cap and list the 1024
+    smallest optima by merging per-block summaries (best error, count,
+    smallest words) in any order.  It is also exact for random
     search, which counts the distinct optimum words it drew.  For the
     greedy-flip and annealing walks, which may revisit words, it is
     exact while fewer than 1024 distinct optima have been seen; after
@@ -294,11 +297,21 @@ def task_to_json(task: Task) -> str:
 
 def _write_atomic(path, text: str) -> None:
     """Write text to a temp file beside ``path``, then rename it over
-    ``path``: a failed write leaves any existing file unchanged."""
+    ``path``: a failed write leaves any existing file unchanged.  The
+    file gets the mode ``open(path, "w")`` would give it: an existing
+    file keeps its own, and a new one gets 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(directory, f".tmp.{secrets.token_hex(8)}.part")
+    # created as open() creates a file, so the umask applies
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -51,6 +51,9 @@ class TaskSpec:
             _check_integer(name, getattr(self, name))
         if self.m < 1 or self.n < 1 or self.d < 1:
             raise ValueError("m, n, d must all be at least 1")
+        for name in ("separation", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.separation < 0:
             raise ValueError("separation must be nonnegative")
         if not self.noise_sigma > 0:

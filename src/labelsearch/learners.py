@@ -14,13 +14,15 @@ labelings through one evaluator per learner instead, which serves the
 exhaustive sweep, the heuristics, batch scoring and chance-hit alike:
 it flips one bit at a time without retraining from scratch, scores
 arrays of packed words in vectorized batches, and sweeps a subcube of
-the labeling hypercube.  The centroid evaluator sweeps in blocks of
-consecutive words; the one-NN evaluator walks the subcube in
-reflected-Gray order, so consecutive candidates differ in one bit and
-its state is updated instead of refit.  That order comes from one
-place, the 4095-step ruler behind ``_gray_flip_blocks`` (the loopless
-reflected-Gray walk of Bitner, Ehrlich and Reingold, CACM 19(9),
-1976); it is the package's only Gray code.
+the labeling hypercube, merging one optimum summary per block it
+scores into a tracker that takes summaries in any order.  The centroid
+evaluator sweeps in blocks of consecutive words; the one-NN evaluator
+walks the subcube in reflected-Gray order, so consecutive candidates
+differ in one bit and its state is updated instead of refit.  That
+order comes from one place, the 4095-step ruler behind
+``_gray_flip_blocks`` (the loopless reflected-Gray walk of Bitner,
+Ehrlich and Reingold, CACM 19(9), 1976); it is the package's only Gray
+code.
 
 Determinism rules, fixed here and relied on by every caller: distance
 comparisons use squared Euclidean distance; centroid distance ties
@@ -278,11 +280,14 @@ def _column_distances(columns: np.ndarray, point, acc: np.ndarray, diff: np.ndar
 # leaves the current state alone, as does the centroid evaluator's
 # ``errors_for_block(high, bits)`` for the 2**bits words from ``high``.
 # ``sweep(prefix_word, low_bits, tracker)`` scores the subcube of the
-# 2**low_bits words that share ``prefix_word``'s higher bits and offers
-# the tracker every word that could be an optimum: the centroid
-# evaluator in ascending blocks (``offer_block``), the one-NN evaluator
-# one flip at a time in Gray order (``offer``).  The exhaustive search
-# calls only ``sweep``, so how a learner walks a subcube is decided here.
+# 2**low_bits words that share ``prefix_word``'s higher bits and calls
+# ``tracker.merge(best, count, words)`` once per block it scores, with
+# the block's best error, the exact count of its words that reach it and
+# those words in ascending order (all of them: the tracker keeps the
+# smallest).  Blocks may report in any order.  The centroid evaluator's
+# blocks are runs of consecutive words, the one-NN evaluator's the
+# blocks of its Gray walk.  The exhaustive search calls only ``sweep``,
+# so how a learner walks a subcube is decided here.
 
 class _CentroidEvaluator:
     """Centroid learner driven by single-bit flips, word batches or
@@ -431,12 +436,17 @@ class _CentroidEvaluator:
         return self._errors_of_sums(*self._block_sums(high, bits))
 
     def sweep(self, prefix_word: int, low_bits: int, tracker) -> None:
-        """Offer ``tracker`` the words that share ``prefix_word``'s bits
-        from ``low_bits`` up, in blocks of up to 2**``_BLOCK_BITS``
-        consecutive words, in ascending order."""
+        """Score the words that share ``prefix_word``'s bits from
+        ``low_bits`` up in blocks of up to 2**``_BLOCK_BITS`` consecutive
+        words, and merge each block's summary into ``tracker`` unless its
+        best is above the tracker's."""
         bits = min(low_bits, _BLOCK_BITS)
         for high in range(prefix_word, prefix_word + (1 << low_bits), 1 << bits):
-            tracker.offer_block(high, self.errors_for_block(high, bits))
+            errs = self.errors_for_block(high, bits)
+            low = int(errs.min())
+            if low <= tracker.best:
+                hits = np.flatnonzero(errs == low)
+                tracker.merge(low, hits.size, hits + high)
 
     def _block_sums(self, high: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
         """Class sums (d, 2, 2**bits) and class counts (2, 2**bits) of the
@@ -529,21 +539,27 @@ class _OneNNEvaluator:
 
     def sweep(self, prefix_word: int, low_bits: int, tracker) -> None:
         """Walk the words that share ``prefix_word``'s bits from
-        ``low_bits`` up in Gray order, from a fresh reset.
+        ``low_bits`` up in Gray order, from a fresh reset, and merge
+        into ``tracker`` one summary per block of ``_gray_flip_blocks``.
 
-        Only candidates that tie or beat the best so far reach the
-        tracker; the others could not change it.
+        A block lists the words that tie the best error seen so far in
+        the walk, and starts its list anew when that best drops; the
+        other candidates could not change the summary.
         """
         best = self.reset(prefix_word)
-        tracker.offer(prefix_word, best)
-        flip, errors, offer = self.flip, self.errors, tracker.offer
+        words = [prefix_word]
+        flip, errors = self.flip, self.errors
         for block in _gray_flip_blocks(low_bits):
             for i in block:
                 flip(i)
                 err = errors()
                 if err <= best:
-                    offer(self.word, err)
-                    best = err
+                    if err < best:
+                        best, words = err, []
+                    words.append(self.word)
+            if words:
+                tracker.merge(best, len(words), np.sort(np.array(words, dtype=np.int64)))
+                words = []
 
 
 def _make_evaluator(kind: str, pool_x, ax, ay):

@@ -2,11 +2,13 @@
 
 The exhaustive searcher splits the labeling hypercube into subcubes by
 the top bits of the word and has each subcube swept by the learner's
-evaluator (``sweep`` in ``learners``), which offers its candidate
-optima to a fresh tracker; how a learner walks a subcube is decided
-there, and a word scores the same whichever subcube it falls in.
-Subcube results merge associatively, making the outcome independent of
-worker count and scheduling.
+evaluator (``sweep`` in ``learners``), which merges one optimum summary
+per block into its share's tracker; how a learner walks a subcube is
+decided there, and a word scores the same whichever subcube it falls
+in.  Summaries (best error, exact optimum count, smallest optimum
+words) merge in any order, so blocks, subcubes and shares may report
+in any order, and the outcome is independent of worker count and
+scheduling.
 
 Parallel sweeps run on a group of worker processes forked once, the
 first time a call asks for more than one worker, and kept for the life
@@ -21,7 +23,6 @@ can only match, never beat, the exhaustive optimum.
 from __future__ import annotations
 
 import atexit
-import heapq
 import math
 import multiprocessing
 import os
@@ -58,49 +59,29 @@ HEURISTIC_KINDS = ("random", "greedy-flip", "anneal")
 # --- optimum tracking -------------------------------------------------------
 
 class _SmallestTracker:
-    """Track the minimum error and the smallest-by-word optima.
+    """Fold optimum summaries into one, in whatever order they arrive.
 
-    Meant for enumerations that visit each word at most once: the count
-    is exact and the kept list is the ``ARGMIN_CAP`` smallest optimum
-    words (max-heap of negated words).  Words come one at a time from
-    ``offer`` or in blocks of consecutive words from ``offer_block``.
+    A summary of a set of words visited once each is its best error,
+    the exact count of its words that reach it, and an int64 array of
+    its smallest optimum words in ascending order: all of them, or at
+    least ``ARGMIN_CAP``.  Summaries of disjoint word sets merge to the
+    summary of their union, capped at ``ARGMIN_CAP`` words, whatever the
+    order of the merges.
     """
 
     def __init__(self):
-        self.best: int | None = None
+        self.best = math.inf  # the summary of no words
         self.count = 0
-        self._heap: list[int] = []
+        self.words = np.empty(0, dtype=np.int64)
 
-    def offer(self, word: int, err: int) -> None:
-        if self.best is None or err < self.best:
-            self.best = err
-            self.count = 1
-            self._heap = [-word]
-        elif err == self.best:
-            self.count += 1
-            if len(self._heap) < ARGMIN_CAP:
-                heapq.heappush(self._heap, -word)
-            elif -self._heap[0] > word:
-                heapq.heapreplace(self._heap, -word)
-
-    def offer_block(self, first_word: int, errs: np.ndarray) -> None:
-        """Offer the words ``first_word + j`` with errors ``errs[j]``, all
-        above every word offered before, so that once the list is full
-        none of them can enter it."""
-        low = int(errs.min())
-        if self.best is not None and low > self.best:
-            return
-        if self.best is None or low < self.best:
-            self.best = low
-            self.count = 0
-            self._heap = []
-        hits = np.flatnonzero(errs == low)
-        for j in hits[: ARGMIN_CAP - len(self._heap)].tolist():
-            heapq.heappush(self._heap, -(first_word + j))
-        self.count += hits.size
-
-    def sorted_words(self) -> list[int]:
-        return sorted(-w for w in self._heap)
+    def merge(self, best: int, count: int, words: np.ndarray) -> None:
+        if best < self.best:
+            self.best, self.count, self.words = best, count, words[:ARGMIN_CAP]
+        elif best == self.best:
+            self.count += count
+            # a full list keeps out any summary whose smallest word is larger
+            if self.words.size < ARGMIN_CAP or words[0] < self.words[-1]:
+                self.words = np.sort(np.concatenate((self.words, words)))[:ARGMIN_CAP]
 
 
 class _DedupeTracker:
@@ -157,30 +138,27 @@ def _evaluator_for(kind: str, pool_x, ax, ay):
 
 
 def _run_sweep_jobs(payload):
-    """Sweep a batch of subcubes; runs in this process or in a worker.
+    """Sweep a share of subcubes; runs in this process or in a worker.
 
     Each job fixes the top bits of the word (the subcube prefix) and the
-    evaluator sweeps the remaining low bits into a fresh tracker.
-    Returns per-job (prefix, best errors, capped sorted optimum words,
-    exact optimum count, evaluations, busy seconds).
+    evaluator sweeps the remaining low bits into the share's tracker.
+    Returns the share's optimum summary and busy seconds: (best errors,
+    exact optimum count, capped ascending optimum words, busy).
     """
     pool_x, ax, ay, kind, jobs = payload
     evaluator = _evaluator_for(kind, pool_x, ax, ay)
-    results = []
+    start = time.perf_counter()
+    tracker = _SmallestTracker()
     for prefix_word, low_bits in jobs:
-        start = time.perf_counter()
-        tracker = _SmallestTracker()
         evaluator.sweep(prefix_word, low_bits, tracker)
-        busy = time.perf_counter() - start
-        results.append((prefix_word, tracker.best, tracker.sorted_words(), tracker.count, 1 << low_bits, busy))
-    return results
+    return tracker.best, tracker.count, tracker.words, time.perf_counter() - start
 
 
 # --- the worker group -------------------------------------------------------
 
 def _group_worker(conn, parent_end) -> None:
     """Body of a group worker: answer each payload received with
-    ("ok", results), until the parent closes the pipe.  A failure sends
+    ("ok", summary), until the parent closes the pipe.  A failure sends
     ("error", message) and exits with code 1."""
     # Ctrl-C reaches the whole process group; the parent stops the workers.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -191,11 +169,11 @@ def _group_worker(conn, parent_end) -> None:
         except EOFError:
             return
         try:
-            results = _run_sweep_jobs(payload)
+            summary = _run_sweep_jobs(payload)
         except Exception as exc:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
             raise SystemExit(1)
-        conn.send(("ok", results))
+        conn.send(("ok", summary))
 
 
 class _SweepGroup:
@@ -289,7 +267,8 @@ def _place(workers: list, shares: list) -> None:
 
 
 def _run_on_group(base: tuple, shares: list) -> list:
-    """Sweep ``shares[0]`` here and share i on the group's worker i.
+    """Sweep ``shares[0]`` here and share i on the group's worker i;
+    returns the shares' summaries.
 
     A worker that raises or dies makes this raise ``RuntimeError``
     naming the worker and its exit code.  On any failure, Ctrl-C
@@ -305,7 +284,7 @@ def _run_on_group(base: tuple, shares: list) -> list:
                     conn.send(base + (share,))
                 except OSError:
                     pass  # the worker died; receiving from it reports that
-            results = _run_sweep_jobs(base + (shares[0],))
+            results = [_run_sweep_jobs(base + (shares[0],))]
             for number, (process, conn) in enumerate(workers, start=1):
                 try:
                     status, value = conn.recv()
@@ -314,7 +293,7 @@ def _run_on_group(base: tuple, shares: list) -> list:
                 if status != "ok":
                     process.join()
                     raise RuntimeError(f"sweep worker {number} failed with exit code {process.exitcode}: {value}")
-                results.extend(value)
+                results.append(value)
             return results
         except BaseException:
             _GROUP.close()
@@ -377,31 +356,25 @@ def exhaustive_search(
     base = (task.pool.x, task.trusted.x, task.trusted.y, learner_kind)
     shares = [jobs[w::workers] for w in range(workers) if jobs[w::workers]]
     if workers == 1:
-        results = _run_sweep_jobs(base + (jobs,))
+        results = [_run_sweep_jobs(base + (jobs,))]
     elif executor is not None:
         futures = [executor.submit(_run_sweep_jobs, base + (share,)) for share in shares]
-        results = [item for fut in futures for item in fut.result()]
+        results = [fut.result() for fut in futures]
     else:
         results = _run_on_group(base, shares)
     elapsed = time.perf_counter() - started
 
-    # Subcube prefixes cover disjoint consecutive word ranges, so a
-    # prefix-ordered merge yields the globally smallest optimum words.
-    results.sort(key=lambda r: r[0])
-    best = min(r[1] for r in results)
-    count = sum(r[3] for r in results if r[1] == best)
-    words: list[int] = []
-    for r in results:
-        if r[1] == best and len(words) < ARGMIN_CAP:
-            words.extend(r[2][: ARGMIN_CAP - len(words)])
-    evaluations = sum(r[4] for r in results)
-    busy = sum(r[5] for r in results)
+    tracker = _SmallestTracker()
+    for best, count, words, _ in results:
+        tracker.merge(best, count, words)
+    evaluations = 1 << n
+    busy = sum(r[3] for r in results)
 
     return SearchOutcome(
-        best_mu=best / task.m,
+        best_mu=tracker.best / task.m,
         n=n,
-        argmin_words=tuple(words),
-        argmin_count=count,
+        argmin_words=tuple(tracker.words.tolist()),
+        argmin_count=tracker.count,
         evaluations=evaluations,
         elapsed=elapsed,
         mean_eval_time=busy / evaluations,

@@ -1,4 +1,6 @@
+import contextlib
 import multiprocessing
+import os
 
 import hypothesis
 import hypothesis.strategies as st
@@ -31,6 +33,16 @@ def close_group_leaving_no_child():
     assert set(multiprocessing.active_children()) == workers
     search._GROUP.close()
     assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def umask(mask):
+    """Run the body with ``mask`` as the process umask."""
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import signal
+import stat
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,8 @@ import pytest
 
 from labelsearch import search
 from labelsearch.cli import main
+
+from conftest import umask
 
 
 def _gen(tmp_path, name="task.json", n=12, m=8, seed=1, sep=4.0):
@@ -135,6 +138,41 @@ def test_config_task_integers_that_are_not_integers_exit_one(tmp_path, capsys, c
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("task.json")) and not list(tmp_path.glob("s.csv"))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["scaling", "--n-values", ",", "--out-csv", "{tmp}/s.csv"], "no integers in ','"),
+    (["cost-model", "table", "--n", ",,", "--out", "{tmp}/s.csv"], "no integers in ',,'"),
+    (["gen-data", "--m", "4", "--n", "6", "--sep", "nan", "--out", "{tmp}/t.json"],
+     "separation must be finite, got nan"),
+    (["gen-data", "--m", "4", "--n", "6", "--sep", "inf", "--out", "{tmp}/t.json"],
+     "separation must be finite, got inf"),
+    (["gen-data", "--m", "4", "--n", "6", "--sigma", "inf", "--out", "{tmp}/t.json"],
+     "noise_sigma must be finite, got inf"),
+    (["scaling", "--n-values", "4:5", "--sep=-inf", "--out-csv", "{tmp}/s.csv"],
+     "separation must be finite, got -inf"),
+])
+def test_malformed_flag_values_exit_one_with_message(tmp_path, capsys, args, message):
+    rc = main([arg.format(tmp=tmp_path) for arg in args])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o027])
+def test_outputs_get_the_mode_open_gives(tmp_path, mask):
+    # a new output gets 0o666 less the umask, and a replaced one keeps its mode
+    kept = tmp_path / "kept.json"
+    kept.write_text("{}")
+    kept.chmod(0o604)
+    with umask(mask):
+        task = _gen(tmp_path)
+        for out in (tmp_path / "new.json", kept):
+            assert main(["search", "exhaustive", "--task", str(task), "--workers", "1", "--out", str(out)]) == 0
+    for path in (task, tmp_path / "new.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert json.loads(kept.read_text())["evaluations"] == 2**12
 
 
 def test_argument_errors_exit_two(tmp_path):

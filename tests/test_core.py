@@ -1,4 +1,5 @@
 import json
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from labelsearch import core
 from labelsearch.core import load_task, save_task, task_from_dict, task_to_dict, task_to_json
 from labelsearch import TaskSpec
 
-from conftest import small_tasks
+from conftest import small_tasks, umask
 from oracles import pack_word
 
 
@@ -204,6 +205,22 @@ def test_failed_save_leaves_the_existing_task_file_unchanged(tmp_path, monkeypat
         save_task(task, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["task.json"]
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o027])
+def test_saved_task_files_get_the_mode_open_gives(tmp_path, mask):
+    # a new file gets 0o666 less the umask, and a replaced one keeps its mode
+    task = generate_task(TaskSpec(m=3, n=4, d=2, separation=1.0, noise_sigma=1.0, seed=7))
+    new, opened, old = tmp_path / "new.json", tmp_path / "opened.json", tmp_path / "old.json"
+    old.write_text("{}")
+    old.chmod(0o604)
+    with umask(mask):
+        save_task(task, new)
+        save_task(task, old)
+        open(opened, "w").close()
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode) == 0o666 & ~mask
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+    assert load_task(old).seed == 7
 
 
 def test_ground_truth_is_optional():

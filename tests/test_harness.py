@@ -32,6 +32,18 @@ def test_spec_validation():
         TaskSpec(m=2, n=5, d=2, separation=1.0, noise_sigma=0.0, seed=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("separation", float("nan")),
+    ("separation", float("inf")),
+    ("noise_sigma", float("nan")),
+    ("noise_sigma", float("inf")),
+])
+def test_spec_refuses_non_finite_spreads(field, value):
+    fields = dict(m=4, n=6, d=2, separation=1.0, noise_sigma=1.0, seed=0)
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        TaskSpec(**{**fields, field: value})
+
+
 def test_generated_classes_balanced_within_one():
     task = generate_task(TaskSpec(m=9, n=13, d=2, separation=2.0, noise_sigma=1.0, seed=5))
     for labels, count in ((task.trusted.y, 9), (task.ground_truth, 13)):

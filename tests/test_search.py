@@ -400,6 +400,21 @@ def test_capped_centroid_optima_span_blocks_and_subcubes(workers):
     assert list(out.argmin_words) == words[:ARGMIN_CAP]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_capped_onenn_optima_arrive_in_a_late_block(workers):
+    # the one trusted point (class 1) sits on pool item 13, so the 8192
+    # words with bit 13 set are optimal; at 1 worker the Gray walk visits
+    # words 12288..16383 before 8192..12287, which hold the 1024 smallest
+    x = np.arange(14.0)[:, None]
+    task = Task(trusted=TrustedSet(x[13:], [1]), pool=UnlabeledPool(x))
+    best, words = naive_best(task, "onenn")
+    assert len(words) == 1 << 13 and words[ARGMIN_CAP - 1] < 3 << 12
+    out = exhaustive_search(task, "onenn", workers=workers)
+    assert out.best_mu == best / task.m
+    assert out.argmin_count == len(words)
+    assert list(out.argmin_words) == words[:ARGMIN_CAP]
+
+
 def _tracker_streams():
     rng = np.random.default_rng(7)
     # ties fill the list, then a lower best arrives in a later block
@@ -412,21 +427,30 @@ def _tracker_streams():
     }
 
 
+def _stream_summary(errs, first):
+    """Optimum summary of the words ``first + j`` with errors ``errs[j]``."""
+    best = int(errs.min())
+    optima = np.flatnonzero(errs == best) + first
+    return best, optima.size, optima[:ARGMIN_CAP]
+
+
 @pytest.mark.parametrize("stream", sorted(_tracker_streams()))
 @pytest.mark.parametrize("block", [1, 100, 512])
-def test_smallest_tracker_blocks_equal_word_by_word_offers(stream, block):
+@settings(max_examples=10)
+@given(cuts=st.lists(st.integers(1, 2099), max_size=20), shuffle_seed=st.integers(0, 2**32 - 1))
+def test_smallest_tracker_blocks_equal_word_by_word_offers(stream, block, cuts, shuffle_seed):
+    # the summaries of blocks of ``block`` words, cut further at random
+    # and merged in a random order, merge to the stream's own summary
     errs = _tracker_streams()[stream]
     first = 5 << 20
-    by_block, by_word = search._SmallestTracker(), search._SmallestTracker()
-    for start in range(0, errs.size, block):
-        by_block.offer_block(first + start, errs[start : start + block])
-    for j, err in enumerate(errs.tolist()):
-        by_word.offer(first + j, err)
-    optima = (np.flatnonzero(errs == errs.min()) + first).tolist()
-    for tracker in (by_block, by_word):
-        assert tracker.best == errs.min()
-        assert tracker.count == len(optima)
-        assert tracker.sorted_words() == optima[:ARGMIN_CAP]
+    bounds = sorted(set(range(0, errs.size, block)) | set(cuts)) + [errs.size]
+    summaries = [_stream_summary(errs[a:b], first + a) for a, b in zip(bounds, bounds[1:])]
+    tracker = search._SmallestTracker()
+    for j in np.random.default_rng(shuffle_seed).permutation(len(summaries)):
+        tracker.merge(*summaries[j])
+    best, count, words = _stream_summary(errs, first)
+    assert (tracker.best, tracker.count) == (best, count)
+    assert tracker.words.tolist() == words.tolist()
 
 
 # --- integer parameters -----------------------------------------------------
