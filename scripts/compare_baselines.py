@@ -27,6 +27,7 @@ from labelsearch import (
     predict,
     self_training_baseline,
 )
+from labelsearch.learners import CENTROID, KINDS
 
 
 def labeling_mu(task, labels, learner):
@@ -42,7 +43,7 @@ def main() -> None:
     ap.add_argument("--sep", type=float, default=1.0)
     ap.add_argument("--sigma", type=float, default=1.0)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--learner", choices=("centroid", "onenn"), default="centroid")
+    ap.add_argument("--learner", choices=KINDS, default=CENTROID)
     ap.add_argument("--quantile", type=float, default=0.5)
     ap.add_argument("--max-rounds", type=int, default=10)
     args = ap.parse_args()

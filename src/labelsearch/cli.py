@@ -4,11 +4,17 @@ One subcommand per capability: ``gen-data``, ``search`` (exhaustive,
 random, greedy, anneal), ``chance-hit``, ``baseline`` (conventional,
 selftrain), ``scaling``, and ``cost-model`` (table, ledger).
 
-Every subcommand accepts ``--config FILE`` (a JSON object of parameter
-names); explicit flags override config values, which override built-in
-defaults.  Result JSON files echo the fully resolved parameters under
-``"config"``, which can be fed back verbatim as a config file.  All
-outputs are written atomically (temp file, then rename).
+``_PARAMS`` declares each parameter of each subcommand and mode once;
+the flags, ``--help``, the config checks and the echoed config all read
+it.  Every subcommand accepts ``--config FILE`` (a JSON object of
+parameter names); explicit flags override config values, which override
+the defaults.  A config value is checked as its flag is: a float must be
+a JSON number and is kept as a float, a path or list must be a string,
+and integers and learner kinds are checked by the library.  A flag or
+key that the subcommand and mode do not take is an argument error.
+Result JSON files echo the resolved parameters under ``"config"``, which
+can be fed back verbatim as a config file.  All outputs are written
+atomically (temp file, then rename).
 
 Exit codes: 0 success, 2 argument errors (with usage), 1 runtime
 refusals and failures (for example a pool over the exhaustive cap, a
@@ -22,28 +28,9 @@ import json
 import os
 import sys
 
-from . import costmodel
+from . import costmodel, harness, search
 from .core import _write_atomic, load_task, task_to_json
-from .harness import (
-    TaskSpec,
-    conventional_pipeline,
-    fit_log2_slope,
-    generate_task,
-    scaling_experiment,
-    scaling_report_csv,
-    scaling_report_json,
-    self_training_baseline,
-)
 from .learners import CENTROID, KINDS
-from .search import (
-    DEFAULT_EXHAUSTIVE_CAP,
-    HARD_EXHAUSTIVE_CAP,
-    MAX_WORKERS,
-    HeuristicConfig,
-    chance_hit_experiment,
-    exhaustive_search,
-    heuristic_search,
-)
 
 _SEARCH_MODES = {"exhaustive": None, "random": "random", "greedy": "greedy-flip", "anneal": "anneal"}
 
@@ -51,13 +38,92 @@ _SEARCH_MODES = {"exhaustive": None, "random": "random", "greedy": "greedy-flip"
 #: and never more than the worker ceiling.
 _DEFAULT_WORKERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-    MAX_WORKERS,
+    search.MAX_WORKERS,
 )
+
+#: Default of a parameter that has none.
+_REQUIRED = object()
+
+# Each parameter is (type, default, help).  The type is int, float, str
+# (a path or a list written as text) or a tuple of the allowed values.
+_LEARNER = (KINDS, CENTROID, "learner kind")
+_WORKERS = (int, _DEFAULT_WORKERS, f"parallel workers, 1..{search.MAX_WORKERS}")
+_CAP = (int, search.DEFAULT_EXHAUSTIVE_CAP, f"exhaustive pool-size cap, at most {search.HARD_EXHAUSTIVE_CAP}")
+_TASK = (str, _REQUIRED, "task JSON path")
+_OUT = (str, _REQUIRED, "output path")
+_TASK_SHAPE = {
+    "d": (int, 2, "feature dimension"),
+    "sep": (float, 4.0, "class mean separation"),
+    "sigma": (float, 1.0, "noise sigma"),
+    "seed": (int, 0, "task RNG seed"),
+}
+_SEARCH = {
+    "learner": _LEARNER,
+    "workers": _WORKERS,
+    "cap": _CAP,
+    "budget": (int, 4096, "heuristic evaluation budget"),
+    "restarts": (int, 1, "heuristic restarts"),
+    "t0": (float, 1.0, "annealing initial temperature"),
+    "gamma": (float, 0.95, "annealing temperature decay in (0,1)"),
+    "seed": (int, 0, "heuristic RNG seed"),
+    "task": _TASK,
+    "out": _OUT,
+}
+_BASELINE = {
+    "learner": _LEARNER,
+    "quantile": (float, 0.5, "self-training confidence quantile in (0,1]"),
+    "max_rounds": (int, 10, "self-training rounds"),
+    "task": _TASK,
+    "out": _OUT,
+}
+
+#: The parameters of each subcommand and mode, in the order result files
+#: echo them.  The flags, defaults, config checks and ``--help`` all come
+#: from here.
+_PARAMS = {
+    ("gen-data", None): {
+        "m": (int, _REQUIRED, "trusted set size"),
+        "n": (int, _REQUIRED, "pool size"),
+        **_TASK_SHAPE,
+        "out": _OUT,
+    },
+    **{("search", mode): _SEARCH for mode in _SEARCH_MODES},
+    ("chance-hit", None): {
+        "learner": _LEARNER,
+        "trials": (int, 100000, "uniform labelings drawn"),
+        "seed": (int, 0, "sampling RNG seed"),
+        "cap": _CAP,
+        "task": _TASK,
+        "out": _OUT,
+    },
+    **{("baseline", mode): _BASELINE for mode in ("conventional", "selftrain")},
+    ("scaling", None): {
+        "m": (int, 8, "trusted set size"),
+        **_TASK_SHAPE,
+        "learner": _LEARNER,
+        "workers": _WORKERS,
+        "cap": _CAP,
+        "out_csv": (str, None, "CSV report path"),
+        "out_json": (str, None, "JSON report path"),
+        "n_values": (str, _REQUIRED, "pool sizes, 'LO:HI' or comma list"),
+    },
+    ("cost-model", "table"): {
+        "tc_ms": (float, 1.0, "per-cycle time in milliseconds"),
+        "regimes": (str, "const:4,poly:2,exp:0.5", "speedup regimes, name:value list"),
+        "n": (str, _REQUIRED, "n values, 'LO:HI' or comma list"),
+        "out": _OUT,
+    },
+    ("cost-model", "ledger"): {
+        **{name: (float, 0.0, f"{name} spend") for name in costmodel.LEDGER_COMPONENTS},
+        "quality": (float, None, "quality for perf-per-cost"),
+        "out": _OUT,
+    },
+}
 
 
 def _parse_int_list(text: str) -> list[int]:
     """Accept 'LO:HI' (inclusive) or a comma list '12,14,16'."""
-    text = str(text).strip()
+    text = text.strip()
     if ":" in text:
         lo_s, hi_s = text.split(":", 1)
         lo, hi = int(lo_s), int(hi_s)
@@ -72,109 +138,95 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_regimes(text: str) -> list[costmodel.SpeedupRegime]:
     """Parse 'const:4,poly:2,exp:0.5' into regime objects."""
-    makers = {
-        "const": costmodel.SpeedupRegime.constant,
-        "poly": costmodel.SpeedupRegime.polynomial,
-        "exp": costmodel.SpeedupRegime.exponential,
-    }
+    kinds = {"const": costmodel.CONSTANT, "poly": costmodel.POLYNOMIAL, "exp": costmodel.EXPONENTIAL}
     regimes = []
-    for part in str(text).split(","):
+    for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         name, _, value = part.partition(":")
-        if name not in makers or not value:
-            raise ValueError(f"bad regime spec {part!r}; expected name:value with name in {sorted(makers)}")
-        regimes.append(makers[name](float(value)))
+        if name not in kinds or not value:
+            raise ValueError(f"bad regime spec {part!r}; expected name:value with name in {sorted(kinds)}")
+        regimes.append(costmodel.SpeedupRegime(kinds[name], float(value)))
     if not regimes:
         raise ValueError("no regimes given")
     return regimes
 
 
-def _resolve(parser: argparse.ArgumentParser, ns: argparse.Namespace, defaults: dict, required: tuple[str, ...]) -> dict:
-    """Apply precedence: explicit flags > config file > defaults."""
-    allowed = set(defaults) | set(required)
-    config: dict = {}
-    path = getattr(ns, "config", None)
-    if path is not None:
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _config_value(name: str, value, kind, default):
+    """A config file's value as its flag would give it.  Integers and
+    learner kinds are left for the library to check."""
+    if value is None and default is None or kind not in (float, str):
+        return value
+    if kind is str and isinstance(value, str):
+        return value
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            return float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise ValueError(f"{name} must be {'a string' if kind is str else 'a number'}, got {value!r}")
+
+
+def _resolve(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> dict:
+    """The parameters of the subcommand and mode, in ``_PARAMS`` order:
+    explicit flags > config file > defaults."""
+    params = _PARAMS[ns.command, ns.mode]
+    config: dict = {}
+    if ns.config is not None:
+        try:
+            with open(ns.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config file {path}: {exc}")
+            parser.error(f"cannot read config file {ns.config}: {exc}")
         if not isinstance(config, dict):
-            parser.error(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(config) - allowed)
-        if unknown:
-            parser.error(f"unknown config keys for this subcommand: {', '.join(unknown)}")
-    flags = {
-        key: value
-        for key, value in vars(ns).items()
-        if key not in ("config", "command", "mode", "handler")
-    }
-    resolved = {**defaults, **config, **flags}
-    missing = [name for name in required if resolved.get(name) is None]
+            parser.error(f"config file {ns.config} must hold a JSON object")
+    flags = {key: value for key, value in vars(ns).items() if key not in ("config", "command", "mode", "handler")}
+    # a flag is declared for every mode of its subcommand, so a flag of
+    # another mode reaches this check too
+    unknown = sorted(set(config) - set(params)) + [_flag(name) for name in flags if name not in params]
+    if unknown:
+        where = " ".join(filter(None, (ns.command, ns.mode)))
+        parser.error(f"unknown config keys or flags for {where}: {', '.join(unknown)}")
+    resolved = {name: default for name, (_, default, _) in params.items()}
+    for name, value in config.items():
+        resolved[name] = _config_value(name, value, *params[name][:2])
+    resolved.update(flags)
+    missing = [_flag(name) for name, value in resolved.items() if value is _REQUIRED]
     if missing:
-        parser.error(f"missing required argument(s): {', '.join('--' + m.replace('_', '-') for m in missing)}")
+        parser.error(f"missing required argument(s): {', '.join(missing)}")
     return resolved
 
 
-def _result_json(command: str, mode: str | None, config: dict, payload: dict) -> str:
-    doc: dict = {"command": command}
-    if mode is not None:
-        doc["mode"] = mode
-    doc["config"] = config
-    doc.update(payload)
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # --- subcommand handlers ----------------------------------------------------
+#
+# A handler returns the payload of the result JSON that main writes to
+# ``out``, or None when it writes its own outputs.
 
-_GEN_DEFAULTS = {"d": 2, "sep": 4.0, "sigma": 1.0, "seed": 0}
-
-
-def _run_gen_data(parser, ns) -> int:
-    cfg = _resolve(parser, ns, _GEN_DEFAULTS | {"m": None, "n": None, "out": None}, ("m", "n", "out"))
-    spec = TaskSpec(
-        m=cfg["m"],
-        n=cfg["n"],
-        d=cfg["d"],
-        separation=float(cfg["sep"]),
-        noise_sigma=float(cfg["sigma"]),
-        seed=cfg["seed"],
-    )
-    _write_atomic(cfg["out"], task_to_json(generate_task(spec)))
-    return 0
+def _task_spec(cfg: dict, n: int) -> harness.TaskSpec:
+    return harness.TaskSpec(m=cfg["m"], n=n, d=cfg["d"], separation=cfg["sep"], noise_sigma=cfg["sigma"],
+                            seed=cfg["seed"])
 
 
-_SEARCH_DEFAULTS = {
-    "learner": CENTROID,
-    "workers": _DEFAULT_WORKERS,
-    "cap": DEFAULT_EXHAUSTIVE_CAP,
-    "budget": 4096,
-    "restarts": 1,
-    "t0": 1.0,
-    "gamma": 0.95,
-    "seed": 0,
-}
+def _run_gen_data(parser, mode, cfg) -> None:
+    """generate a synthetic task file"""
+    _write_atomic(cfg["out"], task_to_json(harness.generate_task(_task_spec(cfg, cfg["n"]))))
 
 
-def _run_search(parser, ns) -> int:
-    cfg = _resolve(parser, ns, _SEARCH_DEFAULTS | {"task": None, "out": None}, ("task", "out"))
+def _run_search(parser, mode, cfg) -> dict:
+    """search labelings of a task's pool"""
     task = load_task(cfg["task"])
-    if ns.mode == "exhaustive":
-        outcome = exhaustive_search(task, cfg["learner"], workers=cfg["workers"], cap=cfg["cap"])
+    if mode == "exhaustive":
+        outcome = search.exhaustive_search(task, cfg["learner"], workers=cfg["workers"], cap=cfg["cap"])
     else:
-        heuristic = HeuristicConfig(
-            kind=_SEARCH_MODES[ns.mode],
-            budget=cfg["budget"],
-            restarts=cfg["restarts"],
-            initial_temp=float(cfg["t0"]),
-            decay=float(cfg["gamma"]),
-            rng_seed=cfg["seed"],
-        )
-        outcome = heuristic_search(task, cfg["learner"], heuristic)
-    payload = {
+        heuristic = search.HeuristicConfig(kind=_SEARCH_MODES[mode], budget=cfg["budget"], restarts=cfg["restarts"],
+                                           initial_temp=cfg["t0"], decay=cfg["gamma"], rng_seed=cfg["seed"])
+        outcome = search.heuristic_search(task, cfg["learner"], heuristic)
+    return {
         "n": task.n,
         "learner": cfg["learner"],
         "best_mu": outcome.best_mu,
@@ -184,115 +236,61 @@ def _run_search(parser, ns) -> int:
         "elapsed_s": outcome.elapsed,
         "mean_eval_time_s": outcome.mean_eval_time,
     }
-    _write_atomic(cfg["out"], _result_json("search", ns.mode, cfg, payload))
-    return 0
 
 
-_CHANCE_DEFAULTS = {"learner": CENTROID, "trials": 100000, "seed": 0, "cap": DEFAULT_EXHAUSTIVE_CAP}
-
-
-def _run_chance_hit(parser, ns) -> int:
-    cfg = _resolve(parser, ns, _CHANCE_DEFAULTS | {"task": None, "out": None}, ("task", "out"))
+def _run_chance_hit(parser, mode, cfg) -> dict:
+    """uniform-labeling hit rate against the optimum"""
     task = load_task(cfg["task"])
-    result = chance_hit_experiment(
-        task,
-        trials=cfg["trials"],
-        rng_seed=cfg["seed"],
-        learner_kind=cfg["learner"],
-        cap=cfg["cap"],
-    )
-    _write_atomic(cfg["out"], _result_json("chance-hit", None, cfg, result))
-    return 0
+    return search.chance_hit_experiment(task, cfg["trials"], cfg["seed"], cfg["learner"], cfg["cap"])
 
 
-_BASELINE_DEFAULTS = {"learner": CENTROID, "quantile": 0.5, "max_rounds": 10}
-
-
-def _run_baseline(parser, ns) -> int:
-    cfg = _resolve(parser, ns, _BASELINE_DEFAULTS | {"task": None, "out": None}, ("task", "out"))
+def _run_baseline(parser, mode, cfg) -> dict:
+    """conventional or self-training baseline"""
     task = load_task(cfg["task"])
-    if ns.mode == "conventional":
-        result = conventional_pipeline(task, cfg["learner"])
-    else:
-        result = self_training_baseline(
-            task,
-            cfg["learner"],
-            confidence_quantile=float(cfg["quantile"]),
-            max_rounds=cfg["max_rounds"],
-        )
-    _write_atomic(cfg["out"], _result_json("baseline", ns.mode, cfg, result))
-    return 0
+    if mode == "conventional":
+        return harness.conventional_pipeline(task, cfg["learner"])
+    return harness.self_training_baseline(task, cfg["learner"], cfg["quantile"], cfg["max_rounds"])
 
 
-_SCALING_DEFAULTS = {
-    "m": 8,
-    "d": 2,
-    "sep": 4.0,
-    "sigma": 1.0,
-    "seed": 0,
-    "learner": CENTROID,
-    "workers": _DEFAULT_WORKERS,
-    "cap": DEFAULT_EXHAUSTIVE_CAP,
-    "out_csv": None,
-    "out_json": None,
-}
-
-
-def _run_scaling(parser, ns) -> int:
-    cfg = _resolve(parser, ns, _SCALING_DEFAULTS | {"n_values": None}, ("n_values",))
+def _run_scaling(parser, mode, cfg) -> None:
+    """exhaustive sweep wall clock across pool sizes"""
     if cfg["out_csv"] is None and cfg["out_json"] is None:
         parser.error("scaling needs --out-csv and/or --out-json")
     n_values = _parse_int_list(cfg["n_values"])
-    template = TaskSpec(
-        m=cfg["m"],
-        n=max(n_values),
-        d=cfg["d"],
-        separation=float(cfg["sep"]),
-        noise_sigma=float(cfg["sigma"]),
-        seed=cfg["seed"],
-    )
-    report = scaling_experiment(n_values, template, cfg["learner"], workers=cfg["workers"], cap=cfg["cap"])
+    template = _task_spec(cfg, max(n_values))
+    report = harness.scaling_experiment(n_values, template, cfg["learner"], workers=cfg["workers"], cap=cfg["cap"])
     if cfg["out_csv"] is not None:
-        _write_atomic(cfg["out_csv"], scaling_report_csv(report))
+        _write_atomic(cfg["out_csv"], harness.scaling_report_csv(report))
     if cfg["out_json"] is not None:
-        _write_atomic(cfg["out_json"], scaling_report_json(report, template, cfg["learner"]))
-    return 0
+        _write_atomic(cfg["out_json"], harness.scaling_report_json(report, template, cfg["learner"]))
 
 
-_TABLE_DEFAULTS = {"tc_ms": 1.0, "regimes": "const:4,poly:2,exp:0.5"}
-_LEDGER_DEFAULTS = {"label": 0.0, "curate": 0.0, "compute": 0.0, "latency": 0.0, "risk": 0.0, "quality": None}
-
-
-def _run_cost_model(parser, ns) -> int:
-    if ns.mode == "table":
-        cfg = _resolve(parser, ns, _TABLE_DEFAULTS | {"n": None, "out": None}, ("n", "out"))
-        n_values = _parse_int_list(cfg["n"])
-        rows = costmodel.scaling_table(n_values, float(cfg["tc_ms"]) / 1000.0, _parse_regimes(cfg["regimes"]))
-        _write_atomic(cfg["out"], costmodel.scaling_table_csv(rows))
-        # a constant speedup keeps the classical slope of 1, a polynomial one
-        # approaches it from below as n grows, an exponential one with rate
-        # beta lowers it to 1 - beta, and the quadratic-search count sits at 0.5
-        for column in costmodel.SCALING_CSV_HEADER[1:]:
-            if len(n_values) > 1 and rows[0][column] is not None:
-                slope, _ = fit_log2_slope(n_values, [row[column] for row in rows])
-                print(f"{column}: log2 slope = {slope:.6f}")
-        return 0
-    cfg = _resolve(parser, ns, _LEDGER_DEFAULTS | {"out": None}, ("out",))
-    ledger = costmodel.CostLedger(
-        label=float(cfg["label"]),
-        curate=float(cfg["curate"]),
-        compute=float(cfg["compute"]),
-        latency=float(cfg["latency"]),
-        risk=float(cfg["risk"]),
-    )
-    payload: dict = {"total": ledger.total}
-    if cfg["quality"] is not None:
-        payload["perf_per_cost"] = costmodel.perf_per_cost(float(cfg["quality"]), ledger)
-    _write_atomic(cfg["out"], _result_json("cost-model", "ledger", cfg, payload))
-    return 0
+def _run_cost_model(parser, mode, cfg) -> dict | None:
+    """analytic runtime table or spend ledger"""
+    if mode == "ledger":
+        ledger = costmodel.CostLedger(*(cfg[name] for name in costmodel.LEDGER_COMPONENTS))
+        if cfg["quality"] is None:
+            return {"total": ledger.total}
+        return {"total": ledger.total, "perf_per_cost": costmodel.perf_per_cost(cfg["quality"], ledger)}
+    n_values = _parse_int_list(cfg["n"])
+    rows = costmodel.scaling_table(n_values, cfg["tc_ms"] / 1000.0, _parse_regimes(cfg["regimes"]))
+    _write_atomic(cfg["out"], costmodel.scaling_table_csv(rows))
+    # a constant speedup keeps the classical slope of 1, a polynomial one
+    # approaches it from below as n grows, an exponential one with rate
+    # beta lowers it to 1 - beta, and the quadratic-search count sits at 0.5
+    for column in costmodel.SCALING_CSV_HEADER[1:]:
+        if len(n_values) > 1 and rows[0][column] is not None:
+            slope, _ = harness.fit_log2_slope(n_values, [row[column] for row in rows])
+            print(f"{column}: log2 slope = {slope:.6f}")
+    return None
 
 
 # --- parser -----------------------------------------------------------------
+
+#: Each handler's docstring is its subcommand's help line.
+_HANDLERS = {"gen-data": _run_gen_data, "search": _run_search, "chance-hit": _run_chance_hit,
+             "baseline": _run_baseline, "scaling": _run_scaling, "cost-model": _run_cost_model}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -301,85 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
         "baselines, chance-hit rates, scaling runs, and the analytic cost model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
-
-    p = sub.add_parser("gen-data", help="generate a synthetic task file")
-    p.add_argument("--m", type=int, default=S, help="trusted set size")
-    p.add_argument("--n", type=int, default=S, help="pool size")
-    p.add_argument("--d", type=int, default=S, help="feature dimension (default 2)")
-    p.add_argument("--sep", type=float, default=S, help="class mean separation (default 4.0)")
-    p.add_argument("--sigma", type=float, default=S, help="noise sigma (default 1.0)")
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--out", default=S, help="task JSON path")
-    p.add_argument("--config", default=None, help="JSON file of parameter defaults")
-    p.set_defaults(handler=_run_gen_data, mode=None)
-
-    p = sub.add_parser("search", help="search labelings of a task's pool")
-    p.add_argument("mode", choices=sorted(_SEARCH_MODES))
-    p.add_argument("--task", default=S, help="task JSON path")
-    p.add_argument("--learner", choices=KINDS, default=S)
-    p.add_argument("--workers", type=int, default=S, help=f"parallel workers, 1..{MAX_WORKERS} (exhaustive only)")
-    p.add_argument("--cap", type=int, default=S,
-                   help=f"exhaustive size cap (default {DEFAULT_EXHAUSTIVE_CAP}, hard {HARD_EXHAUSTIVE_CAP})")
-    p.add_argument("--budget", type=int, default=S, help="heuristic evaluation budget")
-    p.add_argument("--restarts", type=int, default=S)
-    p.add_argument("--t0", type=float, default=S, help="annealing initial temperature")
-    p.add_argument("--gamma", type=float, default=S, help="annealing temperature decay in (0,1)")
-    p.add_argument("--seed", type=int, default=S, help="heuristic RNG seed")
-    p.add_argument("--out", default=S, help="result JSON path")
-    p.add_argument("--config", default=None)
-    p.set_defaults(handler=_run_search)
-
-    p = sub.add_parser("chance-hit", help="uniform-labeling hit rate against the optimum")
-    p.add_argument("--task", default=S)
-    p.add_argument("--learner", choices=KINDS, default=S)
-    p.add_argument("--trials", type=int, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--cap", type=int, default=S)
-    p.add_argument("--out", default=S)
-    p.add_argument("--config", default=None)
-    p.set_defaults(handler=_run_chance_hit, mode=None)
-
-    p = sub.add_parser("baseline", help="conventional or self-training baseline")
-    p.add_argument("mode", choices=("conventional", "selftrain"))
-    p.add_argument("--task", default=S)
-    p.add_argument("--learner", choices=KINDS, default=S)
-    p.add_argument("--quantile", type=float, default=S, help="self-training confidence quantile in (0,1]")
-    p.add_argument("--max-rounds", type=int, default=S)
-    p.add_argument("--out", default=S)
-    p.add_argument("--config", default=None)
-    p.set_defaults(handler=_run_baseline)
-
-    p = sub.add_parser("scaling", help="exhaustive sweep wall clock across pool sizes")
-    p.add_argument("--n-values", default=S, help="pool sizes, 'LO:HI' or comma list")
-    p.add_argument("--m", type=int, default=S)
-    p.add_argument("--d", type=int, default=S)
-    p.add_argument("--sep", type=float, default=S)
-    p.add_argument("--sigma", type=float, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--learner", choices=KINDS, default=S)
-    p.add_argument("--workers", type=int, default=S, help=f"parallel workers, 1..{MAX_WORKERS}")
-    p.add_argument("--cap", type=int, default=S)
-    p.add_argument("--out-csv", default=S)
-    p.add_argument("--out-json", default=S)
-    p.add_argument("--config", default=None)
-    p.set_defaults(handler=_run_scaling, mode=None)
-
-    p = sub.add_parser("cost-model", help="analytic runtime table or spend ledger")
-    p.add_argument("mode", choices=("table", "ledger"))
-    p.add_argument("--n", default=S, help="table: n values, 'LO:HI' or comma list")
-    p.add_argument("--tc-ms", type=float, default=S, help="table: per-cycle time in milliseconds")
-    p.add_argument("--regimes", default=S, help="table: e.g. const:4,poly:2,exp:0.5")
-    p.add_argument("--label", type=float, default=S)
-    p.add_argument("--curate", type=float, default=S)
-    p.add_argument("--compute", type=float, default=S)
-    p.add_argument("--latency", type=float, default=S)
-    p.add_argument("--risk", type=float, default=S)
-    p.add_argument("--quality", type=float, default=S, help="ledger: quality for perf-per-cost")
-    p.add_argument("--out", default=S)
-    p.add_argument("--config", default=None)
-    p.set_defaults(handler=_run_cost_model)
-
+    for command, handler in _HANDLERS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
+        p.set_defaults(handler=handler, mode=None)
+        modes = [mode for name, mode in _PARAMS if name == command]
+        if modes != [None]:
+            p.add_argument("mode", choices=modes)
+        # a flag of one mode is refused in another by _resolve
+        params = {name: param for mode in modes for name, param in _PARAMS[command, mode].items()}
+        for name, (kind, default, text) in params.items():
+            choices = kind if isinstance(kind, tuple) else None
+            shown = "required" if default is _REQUIRED else f"default: {default}"
+            p.add_argument(_flag(name), type=None if choices else kind, choices=choices,
+                           default=argparse.SUPPRESS, help=f"{text} ({shown})")
+        p.add_argument("--config", help="JSON file of parameter values, overridden by flags")
     return parser
 
 
@@ -387,7 +320,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.handler(parser, ns)
+        cfg = _resolve(parser, ns)
+        payload = ns.handler(parser, ns.mode, cfg)
+        if payload is not None:
+            mode = {} if ns.mode is None else {"mode": ns.mode}
+            doc = {"command": ns.command, **mode, "config": cfg, **payload}
+            _write_atomic(cfg["out"], json.dumps(doc, indent=2) + "\n")
+        return 0
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

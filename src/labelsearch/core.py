@@ -299,24 +299,28 @@ def _write_atomic(path, text: str) -> None:
     """Write text to a temp file beside ``path``, then rename it over
     ``path``: a failed write leaves any existing file unchanged.  The
     file gets the mode ``open(path, "w")`` would give it: an existing
-    file keeps its own, and a new one gets 0o666 less the umask."""
+    file keeps its own, and a new one gets 0o666 less the umask.  An
+    ``OSError`` names ``path``, never the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         mode = None
     tmp = os.path.join(directory, f".tmp.{secrets.token_hex(8)}.part")
-    # created as open() creates a file, so the umask applies
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        # created as open() creates a file, so the umask applies
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             if mode is not None:
                 os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # name the path asked for, not the temp file beside it
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

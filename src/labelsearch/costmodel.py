@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 CONSTANT = "constant"
@@ -22,6 +23,13 @@ REGIME_KINDS = (CONSTANT, POLYNOMIAL, EXPONENTIAL)
 _REGIME_COLUMNS = {"T_const": CONSTANT, "T_poly": POLYNOMIAL, "T_exp": EXPONENTIAL}
 
 SCALING_CSV_HEADER = ["n", "T_classical", *_REGIME_COLUMNS, "grover_queries"]
+
+
+def _check_finite(name: str, value) -> None:
+    """Refuse NaN and the infinities; an exact number such as a
+    ``Fraction`` is always finite and is never converted to a float."""
+    if value != value or value in (math.inf, -math.inf):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,7 @@ class SpeedupRegime:
     def __post_init__(self):
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"unknown speedup regime {self.kind!r}; expected one of {REGIME_KINDS}")
+        _check_finite("speedup regime value", self.value)
         if self.kind == CONSTANT and not self.value >= 1:
             raise ValueError("constant speedup factor must be >= 1")
         if self.kind == POLYNOMIAL and not self.value > 0:
@@ -63,6 +72,7 @@ def classical_runtime(n: int, t_c):
     """Total time of a full sweep: 2**n cycles at t_c seconds each."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_finite("per-cycle time t_c", t_c)
     if not t_c > 0:
         raise ValueError("per-cycle time must be positive")
     return (1 << n) * t_c
@@ -79,6 +89,7 @@ def regime_runtime(n: int, t_c, regime: SpeedupRegime):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_finite("per-cycle time t_c", t_c)
     if not t_c > 0:
         raise ValueError("per-cycle time must be positive")
     if regime.kind == CONSTANT:
@@ -99,6 +110,9 @@ def grover_queries(n: int) -> float:
     return 2.0 ** (n / 2)
 
 
+LEDGER_COMPONENTS = ("label", "curate", "compute", "latency", "risk")
+
+
 @dataclass(frozen=True)
 class CostLedger:
     """The five supervision spend components, in one monetary unit."""
@@ -110,7 +124,8 @@ class CostLedger:
     risk: float
 
     def __post_init__(self):
-        for name in ("label", "curate", "compute", "latency", "risk"):
+        for name in LEDGER_COMPONENTS:
+            _check_finite(f"ledger component {name}", getattr(self, name))
             if getattr(self, name) < 0:
                 raise ValueError(f"ledger component {name} must be nonnegative")
 
@@ -121,6 +136,7 @@ class CostLedger:
 
 def perf_per_cost(quality: float, ledger: CostLedger) -> float:
     """Quality achieved per unit of total spend."""
+    _check_finite("quality", quality)
     if quality < 0:
         raise ValueError("quality must be nonnegative")
     total = ledger.total

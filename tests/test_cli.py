@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from labelsearch import search
+from labelsearch import cli, search
 from labelsearch.cli import main
 
 from conftest import umask
@@ -151,6 +151,18 @@ def test_config_task_integers_that_are_not_integers_exit_one(tmp_path, capsys, c
      "noise_sigma must be finite, got inf"),
     (["scaling", "--n-values", "4:5", "--sep=-inf", "--out-csv", "{tmp}/s.csv"],
      "separation must be finite, got -inf"),
+    (["cost-model", "ledger", "--label", "inf", "--quality", "1", "--out", "{tmp}/l.json"],
+     "ledger component label must be finite, got inf"),
+    (["cost-model", "ledger", "--label", "nan", "--out", "{tmp}/l.json"],
+     "ledger component label must be finite, got nan"),
+    (["cost-model", "ledger", "--label", "nan", "--quality", "nan", "--out", "{tmp}/l.json"],
+     "ledger component label must be finite, got nan"),
+    (["cost-model", "ledger", "--label", "1", "--quality", "inf", "--out", "{tmp}/l.json"],
+     "quality must be finite, got inf"),
+    (["cost-model", "table", "--n", "1:4", "--regimes", "poly:inf", "--out", "{tmp}/s.csv"],
+     "speedup regime value must be finite, got inf"),
+    (["cost-model", "table", "--n", "1:4", "--tc-ms", "nan", "--out", "{tmp}/s.csv"],
+     "per-cycle time t_c must be finite, got nan"),
 ])
 def test_malformed_flag_values_exit_one_with_message(tmp_path, capsys, args, message):
     rc = main([arg.format(tmp=tmp_path) for arg in args])
@@ -175,16 +187,40 @@ def test_outputs_get_the_mode_open_gives(tmp_path, mask):
     assert json.loads(kept.read_text())["evaluations"] == 2**12
 
 
-def test_argument_errors_exit_two(tmp_path):
+def test_argument_errors_exit_two(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for args in (
+        ["search", "exhaustive"],  # missing --task/--out
+        ["search", "warp", "--task", "x", "--out", "y"],
+        ["no-such-command"],
+        # a flag of the other cost-model mode
+        ["cost-model", "ledger", "--n", "5", "--label", "1", "--out", "y"],
+        ["cost-model", "table", "--n", "1:3", "--label", "1", "--out", "y"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2, args
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["gen-data", "search", "chance-hit", "baseline", "scaling", "cost-model"])
+def test_help_lists_every_default(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        main(["search", "exhaustive"])  # missing --task/--out
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "warp", "--task", "x", "--out", "y"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for (name, _), params in cli._PARAMS.items():
+        for param, (_, default, _) in params.items():
+            if name == command:
+                shown = "required" if default is cli._REQUIRED else f"default: {default}"
+                assert f"--{param.replace('_', '-')}" in text and f"({shown})" in text, param
+
+
+def test_missing_output_directory_names_the_path_asked_for(tmp_path, capsys):
+    rc = main(["gen-data", "--m", "2", "--n", "3", "--out", str(tmp_path / "absent" / "t.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "t.json" in err and ".tmp." not in err
 
 
 def test_missing_task_file_is_a_runtime_refusal(tmp_path, capsys):
@@ -378,25 +414,77 @@ def test_config_file_precedence(tmp_path):
     assert doc["evaluations"] == 25
 
 
-def test_config_round_trips_losslessly(tmp_path):
-    task = _gen(tmp_path, n=8)
+@pytest.mark.parametrize("args, config, floats", [
+    (["search", "exhaustive", "--workers", "1"], {"cap": 10}, ()),
+    (["search", "random", "--budget", "64"], {"seed": 6}, ()),
+    (["search", "greedy", "--restarts", "2"], {"budget": 64}, ()),
+    (["search", "anneal", "--budget", "64", "--gamma", "0.9"], {"t0": 2, "seed": 6}, ("t0",)),
+    (["chance-hit", "--trials", "500"], {"seed": 3}, ()),
+    (["baseline", "conventional", "--learner", "onenn"], {}, ()),
+    (["baseline", "selftrain", "--max-rounds", "3"], {"quantile": 1}, ("quantile",)),
+    (["cost-model", "ledger", "--label", "3"], {"risk": 1, "quality": 0.5}, ("risk",)),
+], ids=["search-exhaustive", "search-random", "search-greedy", "search-anneal", "chance-hit",
+        "baseline-conventional", "baseline-selftrain", "cost-model-ledger"])
+def test_config_round_trips_losslessly(tmp_path, args, config, floats):
+    if args[0] != "cost-model":
+        config = {**config, "task": str(_gen(tmp_path, n=8))}
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(config))
     out1 = tmp_path / "a.json"
-    assert main(["search", "anneal", "--task", str(task), "--budget", "64",
-                 "--t0", "2.0", "--gamma", "0.9", "--seed", "6", "--out", str(out1)]) == 0
+    assert main([*args, "--config", str(first), "--out", str(out1)]) == 0
     doc1 = json.loads(out1.read_text())
-    config = tmp_path / "resolved.json"
-    config.write_text(json.dumps(doc1["config"]))
+    # a float given as a JSON integer is echoed as the float that was used
+    for name in floats:
+        assert type(doc1["config"][name]) is float and doc1["config"][name] == config[name]
+    resolved = tmp_path / "resolved.json"
+    resolved.write_text(json.dumps(doc1["config"]))
     out2 = tmp_path / "b.json"
-    assert main(["search", "anneal", "--config", str(config), "--out", str(out2)]) == 0
+    assert main([*args[:2 if args[0] != "chance-hit" else 1], "--config", str(resolved),
+                 "--out", str(out2)]) == 0
     doc2 = json.loads(out2.read_text())
     assert doc2["config"] == {**doc1["config"], "out": str(out2)}
     assert _strip_timing({**doc1, "config": None}) == _strip_timing({**doc2, "config": None})
 
 
-def test_unknown_config_keys_are_argument_errors(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"bogus": 1}))
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-data", "--m", "2", "--n", "2", "--out", str(tmp_path / "t.json"),
-              "--config", str(config)])
-    assert exc.value.code == 2
+def test_unknown_config_keys_are_argument_errors(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    for args, config in (
+        (["gen-data", "--m", "2", "--n", "2", "--out", "t.json"], {"bogus": 1}),
+        # a key of the other cost-model mode, or of another subcommand
+        (["cost-model", "ledger", "--out", "l.json"], {"regimes": "const:2"}),
+        (["cost-model", "table", "--n", "1:3", "--out", "s.csv"], {"quality": 1.0}),
+        (["scaling", "--n-values", "4:5", "--out-csv", "s.csv"], {"task": "t.json"}),
+    ):
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--config", str(path)])
+        assert exc.value.code == 2, config
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["search", "anneal"], {"t0": True}, "t0 must be a number, got True"),
+    (["search", "anneal"], {"gamma": "0.5"}, "gamma must be a number, got '0.5'"),
+    (["search", "anneal"], {"t0": 10**400}, "t0 must be a number, got 1000"),
+    (["baseline", "selftrain"], {"quantile": None}, "quantile must be a number, got None"),
+    (["gen-data", "--m", "4", "--n", "6"], {"sep": None}, "sep must be a number, got None"),
+    (["cost-model", "ledger"], {"label": "1"}, "label must be a number, got '1'"),
+    (["search", "exhaustive"], {"task": 0}, "task must be a string, got 0"),
+    (["chance-hit"], {"task": None}, "task must be a string, got None"),
+    (["scaling", "--out-csv", "{tmp}/out"], {"n_values": [4, 5]}, "n_values must be a string, got [4, 5]"),
+    (["cost-model", "table", "--n", "1:3"], {"regimes": ["const:2"]}, "regimes must be a string, got ['const:2']"),
+    (["search", "exhaustive", "--task", "{tmp}/t.json"], {"out": 5}, "out must be a string, got 5"),
+], ids=["bool-float", "string-float", "huge-float", "null-float", "null-task-shape-float", "string-ledger",
+        "number-path", "null-path", "list-list", "list-regimes", "number-out"])
+def test_config_values_of_the_wrong_type_exit_one(tmp_path, capsys, args, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [arg.format(tmp=tmp_path) for arg in args] + ["--config", str(path)]
+    if "out" not in config and not any(arg.startswith("--out") for arg in args):
+        argv += ["--out", str(tmp_path / "out")]
+    rc = main(argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == [path]

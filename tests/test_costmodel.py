@@ -40,6 +40,11 @@ def test_classical_rejects_bad_inputs():
         classical_runtime(-1, 1.0)
     with pytest.raises(ValueError):
         classical_runtime(3, 0.0)
+    for t_c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_c must be finite"):
+            classical_runtime(3, t_c)
+        with pytest.raises(ValueError, match="t_c must be finite"):
+            regime_runtime(3, t_c, SpeedupRegime.constant(2.0))
 
 
 # --- accelerated runtime (constant regime) ---------------------------------
@@ -91,6 +96,10 @@ def test_regime_constructors_validate_parameters():
         SpeedupRegime.exponential(1.5)
     with pytest.raises(ValueError):
         SpeedupRegime(kind="warp", value=1.0)
+    for make in (SpeedupRegime.constant, SpeedupRegime.polynomial, SpeedupRegime.exponential):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="speedup regime value must be finite"):
+                make(value)
 
 
 def test_exponential_rate_one_cancels_everything():
@@ -163,6 +172,14 @@ def test_ledger_rejects_negatives_and_zero_total():
         perf_per_cost(1.0, CostLedger(0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         perf_per_cost(-1.0, CostLedger(1, 0, 0, 0, 0))
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="ledger component risk must be finite"):
+            CostLedger(1, 0, 0, 0, value)
+        with pytest.raises(ValueError, match="quality must be finite"):
+            perf_per_cost(value, CostLedger(1, 0, 0, 0, 0))
+    # nan spend is refused for itself, not as a zero total cost
+    with pytest.raises(ValueError, match="ledger component label must be finite"):
+        perf_per_cost(math.nan, CostLedger(math.nan, 0, 0, 0, 0))
 
 
 # --- scaling table ----------------------------------------------------------
