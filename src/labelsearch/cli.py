@@ -62,10 +62,10 @@ _SEARCH = {
     "workers": _WORKERS,
     "cap": _CAP,
     "budget": (int, 4096, "heuristic evaluation budget"),
-    "restarts": (int, 1, "heuristic restarts"),
-    "t0": (float, 1.0, "annealing initial temperature"),
-    "gamma": (float, 0.95, "annealing temperature decay in (0,1)"),
-    "seed": (int, 0, "heuristic RNG seed"),
+    "restarts": (int, search.HeuristicConfig.restarts, "heuristic restarts"),
+    "t0": (float, search.HeuristicConfig.initial_temp, "annealing initial temperature"),
+    "gamma": (float, search.HeuristicConfig.decay, "annealing temperature decay in (0,1)"),
+    "seed": (int, search.HeuristicConfig.rng_seed, "heuristic RNG seed"),
     "task": _TASK,
     "out": _OUT,
 }
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
         if payload is not None:
             mode = {} if ns.mode is None else {"mode": ns.mode}
             doc = {"command": ns.command, **mode, "config": cfg, **payload}
-            _write_atomic(cfg["out"], json.dumps(doc, indent=2) + "\n")
+            _write_atomic(cfg["out"], json.dumps(doc, indent=2, allow_nan=False) + "\n")
         return 0
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ quadratic-search query counts, and the supervision spend ledger.
 All runtime functions are pure and duck-typed over the numeric type of
 the per-cycle time: pass a float for ordinary use, or ``fractions.Fraction``
 to get exact rational arithmetic (the 2**n factor is always an exact
-wide integer, so nothing overflows).
+wide integer, so nothing overflows).  A float result past the float
+range is refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -68,14 +69,27 @@ class SpeedupRegime:
         return cls(EXPONENTIAL, beta)
 
 
-def classical_runtime(n: int, t_c):
-    """Total time of a full sweep: 2**n cycles at t_c seconds each."""
+def _runtime(n: int, t_c, formula):
+    """``formula()``, a sweep time at pool size ``n`` and per-cycle time
+    ``t_c``, after checking both.  Float arithmetic past the float range
+    raises ``OverflowError`` or gives an infinity; either is refused."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_finite("per-cycle time t_c", t_c)
     if not t_c > 0:
         raise ValueError("per-cycle time must be positive")
-    return (1 << n) * t_c
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"runtime at n={n} with t_c={t_c!r} overflows the float range")
+    return value
+
+
+def classical_runtime(n: int, t_c):
+    """Total time of a full sweep: 2**n cycles at t_c seconds each."""
+    return _runtime(n, t_c, lambda: (1 << n) * t_c)
 
 
 def regime_runtime(n: int, t_c, regime: SpeedupRegime):
@@ -87,18 +101,13 @@ def regime_runtime(n: int, t_c, regime: SpeedupRegime):
     polynomial:  2**n * t_c / n**alpha   (undefined at n = 0)
     exponential: 2**((1 - beta) * n) * t_c
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _check_finite("per-cycle time t_c", t_c)
-    if not t_c > 0:
-        raise ValueError("per-cycle time must be positive")
     if regime.kind == CONSTANT:
-        return (1 << n) * t_c / regime.value
+        return _runtime(n, t_c, lambda: (1 << n) * t_c / regime.value)
     if regime.kind == POLYNOMIAL:
         if n == 0:
             raise ValueError("polynomial speedup regime is undefined at n = 0")
-        return (1 << n) * t_c / n**regime.value
-    return 2.0 ** ((1.0 - regime.value) * n) * t_c
+        return _runtime(n, t_c, lambda: (1 << n) * t_c / n**regime.value)
+    return _runtime(n, t_c, lambda: 2.0 ** ((1.0 - regime.value) * n) * t_c)
 
 
 def grover_queries(n: int) -> float:
@@ -107,7 +116,10 @@ def grover_queries(n: int) -> float:
     deliberately excluded."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return 2.0 ** (n / 2)
+    try:
+        return 2.0 ** (n / 2)
+    except OverflowError:
+        raise ValueError(f"quadratic-search query count at n={n} overflows the float range") from None
 
 
 LEDGER_COMPONENTS = ("label", "curate", "compute", "latency", "risk")
@@ -155,8 +167,8 @@ def scaling_table(n_values, t_c, regimes: list[SpeedupRegime]) -> list[dict]:
     ns = list(n_values)
     if not ns:
         raise ValueError("n_values must be nonempty")
-    if ns != sorted(ns):
-        raise ValueError("n_values must be ascending")
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError("n_values must be strictly ascending")
     by_kind: dict[str, SpeedupRegime] = {}
     for regime in regimes:
         if regime.kind in by_kind:

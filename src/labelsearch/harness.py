@@ -238,8 +238,8 @@ def fit_log2_slope(ns, values) -> tuple[float, float]:
     """
     xs = np.asarray(ns, dtype=np.float64)
     ys = np.log2(np.asarray(values, dtype=np.float64))
-    if xs.size < 2:
-        raise ValueError("slope fit needs at least two points")
+    if np.unique(xs).size < 2:
+        raise ValueError("slope fit needs at least two distinct n values")
     xbar = xs.mean()
     sxx = float(((xs - xbar) ** 2).sum())
     slope = float(((xs - xbar) * ys).sum()) / sxx
@@ -278,7 +278,7 @@ def scaling_experiment(
     def task_for(n: int) -> Task:
         return generate_task(replace(template, n=n, seed=template.seed + n))
 
-    # warm-up sweep: primes caches and the workers, result discarded
+    # warm-up sweep: forks the workers, result discarded
     exhaustive_search(task_for(ns[0]), learner_kind, workers, cap)
     rows = tuple(exhaustive_search(task_for(n), learner_kind, workers, cap) for n in ns)
     slope, stderr = fit_log2_slope(ns, [r.elapsed for r in rows])

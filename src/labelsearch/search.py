@@ -13,7 +13,8 @@ scheduling.
 Parallel sweeps run on a group of worker processes forked once, the
 first time a call asks for more than one worker, and kept for the life
 of the process; each call pins each worker to a CPU and sends it the
-task and its share over a pipe.
+task and its share over a pipe.  Each share builds its own evaluator,
+so the group is the only state this module keeps between calls.
 
 Heuristic searchers (uniform random, first-improvement greedy flips,
 simulated annealing) share the evaluators and the outcome format; they
@@ -116,27 +117,6 @@ class _DedupeTracker:
 
 # --- exhaustive search ------------------------------------------------------
 
-#: Per learner kind, the last evaluator ``_run_sweep_jobs`` built in this
-#: process, with copies of the task arrays it was built from.
-_cached_evaluators: dict = {}
-
-
-def _evaluator_for(kind: str, pool_x, ax, ay):
-    """The kind's previous evaluator if it was built for equal task
-    arrays, else a new one, built from copies."""
-    arrays = (pool_x, ax, ay)
-    cached = _cached_evaluators.get(kind)
-    if cached is not None and all(
-        a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
-        for a, b in zip(cached[0], arrays)
-    ):
-        return cached[1]
-    arrays = tuple(np.array(a) for a in arrays)
-    evaluator = _make_evaluator(kind, *arrays)
-    _cached_evaluators[kind] = (arrays, evaluator)
-    return evaluator
-
-
 def _run_sweep_jobs(payload):
     """Sweep a share of subcubes; runs in this process or in a worker.
 
@@ -146,7 +126,7 @@ def _run_sweep_jobs(payload):
     exact optimum count, capped ascending optimum words, busy).
     """
     pool_x, ax, ay, kind, jobs = payload
-    evaluator = _evaluator_for(kind, pool_x, ax, ay)
+    evaluator = _make_evaluator(kind, pool_x, ax, ay)
     start = time.perf_counter()
     tracker = _SmallestTracker()
     for prefix_word, low_bits in jobs:
@@ -469,8 +449,8 @@ class HeuristicConfig:
             raise ValueError("budget must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if not self.initial_temp > 0:
-            raise ValueError("initial temperature must be positive")
+        if not (self.initial_temp > 0 and math.isfinite(self.initial_temp)):
+            raise ValueError(f"initial_temp must be positive and finite, got {self.initial_temp!r}")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("temperature decay must lie strictly between 0 and 1")
 

@@ -14,6 +14,8 @@ from labelsearch.cli import main
 
 from conftest import umask
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
 
 def _gen(tmp_path, name="task.json", n=12, m=8, seed=1, sep=4.0):
     path = tmp_path / name
@@ -163,9 +165,18 @@ def test_config_task_integers_that_are_not_integers_exit_one(tmp_path, capsys, c
      "speedup regime value must be finite, got inf"),
     (["cost-model", "table", "--n", "1:4", "--tc-ms", "nan", "--out", "{tmp}/s.csv"],
      "per-cycle time t_c must be finite, got nan"),
+    (["cost-model", "table", "--n", "1100", "--out", "{tmp}/s.csv"],
+     "runtime at n=1100 with t_c=0.001 overflows the float range"),
+    (["cost-model", "table", "--n", "1:30", "--tc-ms", "1e308", "--out", "{tmp}/s.csv"],
+     "runtime at n=11 with t_c=1e+305 overflows the float range"),
+    (["cost-model", "table", "--n", "5,5", "--out", "{tmp}/s.csv"], "n_values must be strictly ascending"),
+    (["search", "anneal", "--t0", "inf", "--task", "{data}/task_m1_n6_d1.json", "--out", "{tmp}/r.json"],
+     "initial_temp must be positive and finite, got inf"),
+    (["search", "exhaustive", "--t0", "inf", "--task", "{data}/task_m1_n6_d1.json", "--out", "{tmp}/r.json"],
+     "Out of range float values are not JSON compliant"),
 ])
 def test_malformed_flag_values_exit_one_with_message(tmp_path, capsys, args, message):
-    rc = main([arg.format(tmp=tmp_path) for arg in args])
+    rc = main([arg.format(tmp=tmp_path, data=DATA) for arg in args])
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

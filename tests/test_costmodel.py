@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,17 @@ def test_classical_rejects_bad_inputs():
             classical_runtime(3, t_c)
         with pytest.raises(ValueError, match="t_c must be finite"):
             regime_runtime(3, t_c, SpeedupRegime.constant(2.0))
+    # a float time past the float range, whether Python raises or gives inf
+    for n, t_c in ((1400, 0.001), (30, 1e305)):
+        with pytest.raises(ValueError, match=re.escape(f"runtime at n={n} with t_c={t_c!r} overflows")):
+            classical_runtime(n, t_c)
+        for regime in _REGIMES:
+            with pytest.raises(ValueError, match=re.escape(f"runtime at n={n} with t_c={t_c!r} overflows")):
+                regime_runtime(n, t_c, regime)
+    with pytest.raises(ValueError, match="n=2048 overflows"):
+        grover_queries(2048)
+    assert grover_queries(2047) == 2.0**1023.5
+    assert classical_runtime(1100, Fraction(1, 1000)) == Fraction(2**1100, 1000)
 
 
 # --- accelerated runtime (constant regime) ---------------------------------
@@ -225,6 +237,8 @@ def test_table_rejects_duplicates_and_bad_ranges():
         scaling_table([], 1.0, _REGIMES)
     with pytest.raises(ValueError):
         scaling_table([3, 2], 1.0, _REGIMES)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        scaling_table([5, 5], 1.0, _REGIMES)
 
 
 def test_table_exponential_column_slope():

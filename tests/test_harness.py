@@ -198,8 +198,9 @@ def test_slope_fit_recovers_exact_lines():
     assert stderr == pytest.approx(0.0, abs=1e-9)
     half, _ = fit_log2_slope(ns, [2.0 ** (0.5 * n) for n in ns])
     assert half == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        fit_log2_slope([3], [1.0])
+    for ns in ([3], [5, 5]):
+        with pytest.raises(ValueError, match="two distinct"):
+            fit_log2_slope(ns, [1.0] * len(ns))
 
 
 def test_scaling_experiment_rows_and_determinism():

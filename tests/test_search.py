@@ -643,8 +643,9 @@ def test_heuristic_config_validation():
         HeuristicConfig(kind="anneal", budget=1, decay=1.0)
     with pytest.raises(ValueError):
         HeuristicConfig(kind="anneal", budget=1, restarts=0)
-    with pytest.raises(ValueError):
-        HeuristicConfig(kind="anneal", budget=1, initial_temp=0.0)
+    for temp in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="initial_temp must be positive and finite"):
+            HeuristicConfig(kind="anneal", budget=1, initial_temp=temp)
 
 
 @given(small_tasks(max_n=9, min_m=2), learner_kinds, st.data())
