@@ -5,7 +5,8 @@ All runtime functions are pure and duck-typed over the numeric type of
 the per-cycle time: pass a float for ordinary use, or ``fractions.Fraction``
 to get exact rational arithmetic (the 2**n factor is always an exact
 wide integer, so nothing overflows).  A float result past the float
-range is refused with ``ValueError``.
+range, or below the smallest normal float, is refused with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 CONSTANT = "constant"
@@ -69,10 +71,17 @@ class SpeedupRegime:
         return cls(EXPONENTIAL, beta)
 
 
-def _runtime(n: int, t_c, formula):
+def _runtime(n: int, t_c, formula, log2_speedup):
     """``formula()``, a sweep time at pool size ``n`` and per-cycle time
-    ``t_c``, after checking both.  Float arithmetic past the float range
-    raises ``OverflowError`` or gives an infinity; either is refused."""
+    ``t_c``, after checking both.
+
+    The time is 2**n * t_c divided by a speedup factor whose log2 is
+    ``log2_speedup()``.  Where a float step of the formula overflows,
+    the time is computed from its log2 instead; a time past the float
+    range even so is refused, and so is a float time below the smallest
+    normal float, whose few significant bits would bend every slope
+    fitted to it.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_finite("per-cycle time t_c", t_c)
@@ -83,13 +92,20 @@ def _runtime(n: int, t_c, formula):
     except OverflowError:
         value = math.inf
     if value == math.inf:
+        try:
+            value = 2.0 ** (n + math.log2(t_c) - log2_speedup())
+        except OverflowError:
+            pass
+    if value == math.inf:
         raise ValueError(f"runtime at n={n} with t_c={t_c!r} overflows the float range")
+    if isinstance(value, float) and value < sys.float_info.min:
+        raise ValueError(f"runtime at n={n} with t_c={t_c!r} underflows the normal float range")
     return value
 
 
 def classical_runtime(n: int, t_c):
     """Total time of a full sweep: 2**n cycles at t_c seconds each."""
-    return _runtime(n, t_c, lambda: (1 << n) * t_c)
+    return _runtime(n, t_c, lambda: (1 << n) * t_c, lambda: 0.0)
 
 
 def regime_runtime(n: int, t_c, regime: SpeedupRegime):
@@ -102,12 +118,12 @@ def regime_runtime(n: int, t_c, regime: SpeedupRegime):
     exponential: 2**((1 - beta) * n) * t_c
     """
     if regime.kind == CONSTANT:
-        return _runtime(n, t_c, lambda: (1 << n) * t_c / regime.value)
+        return _runtime(n, t_c, lambda: (1 << n) * t_c / regime.value, lambda: math.log2(regime.value))
     if regime.kind == POLYNOMIAL:
         if n == 0:
             raise ValueError("polynomial speedup regime is undefined at n = 0")
-        return _runtime(n, t_c, lambda: (1 << n) * t_c / n**regime.value)
-    return _runtime(n, t_c, lambda: 2.0 ** ((1.0 - regime.value) * n) * t_c)
+        return _runtime(n, t_c, lambda: (1 << n) * t_c / n**regime.value, lambda: regime.value * math.log2(n))
+    return _runtime(n, t_c, lambda: 2.0 ** ((1.0 - regime.value) * n) * t_c, lambda: regime.value * n)
 
 
 def grover_queries(n: int) -> float:

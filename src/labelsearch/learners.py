@@ -14,11 +14,13 @@ labelings through one evaluator per learner instead, which serves the
 exhaustive sweep, the heuristics, batch scoring and chance-hit alike:
 it flips one bit at a time without retraining from scratch, scores
 arrays of packed words in vectorized batches, and sweeps a subcube of
-the labeling hypercube, merging one optimum summary per block it
-scores into a tracker that takes summaries in any order.  The centroid
-evaluator sweeps in blocks of consecutive words; the one-NN evaluator
-walks the subcube in reflected-Gray order, so consecutive candidates
-differ in one bit and its state is updated instead of refit.  That
+the labeling hypercube together with the subcube of its complements,
+merging optimum summaries of the blocks it scores into a tracker that
+takes summaries in any order.  The centroid evaluator sweeps in blocks
+of consecutive words, each with its mirror block of their complements;
+the one-NN evaluator walks the subcube in reflected-Gray order, so
+consecutive candidates differ in one bit and its state is updated
+instead of refit.  That
 order comes from one place, the 4095-step ruler behind
 ``_gray_flip_blocks`` (the loopless reflected-Gray walk of Bitner,
 Ehrlich and Reingold, CACM 19(9), 1976); it is the package's only Gray
@@ -206,10 +208,11 @@ def predict(state: LearnerState, trusted: TrustedSet) -> np.ndarray:
 # centroid sweep reads one table of the low ``_BLOCK_BITS`` rows.
 
 #: Width of the centroid sweep's low-bit table, in bits: a sweep block
-#: scores 2**9 words.  Wider blocks cost less per word on large pools,
-#: but on pools of fewer than 2**12 items they spread each block's fixed
-#: cost over fewer words than on larger pools, and the time per labeling
-#: would then depend on n.
+#: scores 2**9 words, 2**8 consecutive words and their complements.
+#: Wider blocks cost less per word on large pools, but pools of fewer
+#: items cannot fill them, so their sweeps would spread each block's
+#: fixed cost over fewer words than larger pools do, and the time per
+#: labeling would then depend on n.
 _BLOCK_BITS = 9
 
 #: Distances computed per numpy call when scoring class-sum columns:
@@ -280,14 +283,36 @@ def _column_distances(columns: np.ndarray, point, acc: np.ndarray, diff: np.ndar
 # leaves the current state alone, as does the centroid evaluator's
 # ``errors_for_block(high, bits)`` for the 2**bits words from ``high``.
 # ``sweep(prefix_word, low_bits, tracker)`` scores the subcube of the
-# 2**low_bits words that share ``prefix_word``'s higher bits and calls
-# ``tracker.merge(best, count, words)`` once per block it scores, with
-# the block's best error, the exact count of its words that reach it and
-# those words in ascending order (all of them: the tracker keeps the
-# smallest).  Blocks may report in any order.  The centroid evaluator's
-# blocks are runs of consecutive words, the one-NN evaluator's the
-# blocks of its Gray walk.  The exhaustive search calls only ``sweep``,
+# 2**low_bits words that share ``prefix_word``'s higher bits, whose top
+# bit is clear, together with the subcube of their complements: the
+# complement ~w of a word w puts every pool item in the other class, so
+# its class sums are w's swapped and one set of class sums or tallies
+# scores both words.  It calls ``tracker.merge(best, count, words)`` for
+# the words it scores, a block at a time, with the block's best error,
+# the exact count of its words that reach it and those words in
+# ascending order (all of them: the tracker keeps the smallest).  Blocks
+# may report in any order.  The centroid evaluator reports a block of
+# consecutive words and its mirror block of their complements as one,
+# the one-NN evaluator each block of its Gray walk and, apart, the
+# complements of its words.  The exhaustive search calls only ``sweep``,
 # so how a learner walks a subcube is decided here.
+
+
+def _merge_pair(tracker, high: int, mirror: int, wrong: np.ndarray) -> None:
+    """Merge into ``tracker``, unless its best is above the tracker's,
+    the summary of a block and its mirror block: the words ``high + s``
+    with errors ``wrong[0, s]`` and their complements ``mirror + (width
+    - 1 - s)`` with errors ``wrong[1, s]``."""
+    low = int(wrong.min())
+    if low <= tracker.best:
+        hits = np.flatnonzero(wrong == low)
+        width = wrong.shape[1]
+        split = int(np.searchsorted(hits, width))
+        # the block's words have the top bit clear and the mirror block's
+        # have it set, so the block's come first
+        words = np.concatenate((hits[:split] + high, (mirror + 2 * width - 1) - hits[split:][::-1]))
+        tracker.merge(low, hits.size, words)
+
 
 class _CentroidEvaluator:
     """Centroid learner driven by single-bit flips, word batches or
@@ -310,7 +335,10 @@ class _CentroidEvaluator:
     that share their bits from ``bits`` up; it copies a subset table of
     the low rows and adds each high row to the whole copy, in ascending
     row order, so each word's class sums are the left folds of its rows
-    in ascending index order, whatever the block.
+    in ascending index order, whatever the block.  The same class sums,
+    swapped, are those of the block's complements, so the sweep scores
+    each block together with its mirror block from the one set of
+    distances.
     """
 
     def __init__(self, pool_x, ax, ay):
@@ -319,17 +347,23 @@ class _CentroidEvaluator:
         self.sums = None
         self.counts = [0, 0]
         self._rows = [tuple(row) for row in pool_x.tolist()]
-        self._row_columns = list(pool_x[:, :, None])
+        # each pool row with a 1 after it, which counts it in its class
+        counted = np.column_stack([pool_x, np.ones(pool_x.shape[0])])
+        self._row_columns = list(counted[:, :, None])
         self._columns = [np.ascontiguousarray(ax[:, k]) for k in range(ax.shape[1])]
         self._is_one = ay == 1
-        self._points = ax[np.argsort(ay, kind="stable")]  # class-0 points first
+        # coordinate k of trusted point j at [k, j, 0], class-0 points first
+        self._point_columns = np.ascontiguousarray(ax[np.argsort(ay, kind="stable")].T)[:, :, None]
         self._errors_y0 = int(np.count_nonzero(ay == 0))
         self._errors_y1 = ay.shape[0] - self._errors_y0
         self._byte_tables = None
         # rows 0..d-1 the sums and row d the count of every subset of the
-        # low rows, for sweep blocks of up to 2**_BLOCK_BITS words
-        bits = min(pool_x.shape[0], _BLOCK_BITS)
-        self._block_table = _subset_sums(np.column_stack([pool_x[:bits], np.ones(bits)]))
+        # low rows, for blocks of up to 2**_BLOCK_BITS words
+        self._block_table = _subset_sums(counted[:_BLOCK_BITS])
+        # scratch arrays for the widest sweep block of this pool, made
+        # here once instead of in the sweep
+        self._scratch_width, self._scratch = 0, ()
+        self._scratch_for(1 << min(pool_x.shape[0] - 1, _BLOCK_BITS - 1))
 
     def reset(self, word: int) -> int:
         self.word = word
@@ -370,46 +404,60 @@ class _CentroidEvaluator:
         d1 = self._distances(self.sums[1], n1)
         return int(np.count_nonzero((d1 < d0) != self._is_one))  # tie -> class 0
 
-    def _errors_of_sums(self, sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Error counts of candidate labelings given as class-sum columns.
+    def _scratch_for(self, width: int) -> tuple:
+        """Distances, their scratch space and missed-point flags for
+        scoring ``width`` candidates and their complements; a sweep's
+        blocks share one set."""
+        if width != self._scratch_width:
+            rows = min(max(1, _SCORE_CELLS // (2 * width)), self._point_columns.shape[1])
+            dist = np.empty((rows, 2 * width))
+            # per trusted point, [d0, d1] beside [d1, d0]
+            by_class = dist.reshape(rows, 2, width)
+            miss = np.empty((rows, 2, width), dtype=bool)
+            self._scratch = dist, np.empty_like(dist), by_class, by_class[:, ::-1], miss
+            self._scratch_width = width
+        return self._scratch
+
+    def _errors_of_sums(self, sums: np.ndarray, counts: np.ndarray, pairs: bool = False) -> np.ndarray:
+        """Error counts of candidate labelings given as class-sum columns,
+        in row 0 of a (1, candidates) array, or with ``pairs`` in row 0
+        of a (2, candidates) array whose row 1 holds the error counts of
+        the candidates' complements.
 
         ``sums[k, c, j]`` is coordinate k of class c's sum for candidate
-        j and ``counts[c, j]`` the size of class c, as a float.  The sums
-        are divided into centroid columns and scored with the operations
-        of ``squared_distances``: both classes at once, for as many
-        trusted points per numpy call as keep about ``_SCORE_CELLS``
-        distances.
+        j and ``counts[c, j]`` the size of class c, as a positive float:
+        a caller gives an empty class any count and overwrites the
+        candidate's errors.  The sums are divided into centroid columns
+        and scored with the operations of ``squared_distances``: both
+        classes at once, for as many trusted points per numpy call as
+        keep about ``_SCORE_CELLS`` distances.  A complement's class
+        sums are its candidate's swapped, so its distances are too: a
+        candidate predicts class 1 where d1 < d0, its complement where
+        d0 < d1, and a tie predicts class 0 under both.
         """
         width = counts.shape[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            centroids = (sums / counts).reshape(sums.shape[0], 2 * width)
-        rows = min(max(1, _SCORE_CELLS // (2 * width)), self._points.shape[0])
-        dist, diff = np.empty((rows, 2 * width)), np.empty((rows, 2 * width))
-        pred1 = np.empty((rows, width), dtype=bool)
-        # start from every trusted point predicted 0, then count each
-        # class-1 prediction as one error more (class-0 points, sorted
-        # first) or one fewer (class-1 points)
-        wrong = np.full(width, self._errors_y1, dtype=np.int64)
-        for start in range(0, self._points.shape[0], rows):
-            points = self._points[start : start + rows]
-            r = points.shape[0]
-            zeros = min(max(self._errors_y0 - start, 0), r)  # class-0 points of this chunk
+        centroids = (sums / counts).reshape(sums.shape[0], 2 * width)
+        dist, diff, ours, theirs, miss = self._scratch_for(width)
+        tests = 2 if pairs else 1
+        rows = dist.shape[0]
+        wrong = np.zeros((tests, width), dtype=np.int64)
+        for start in range(0, self._point_columns.shape[1], rows):
+            points = self._point_columns[:, start : start + rows]
+            r = points.shape[1]
+            zeros = min(max(self._errors_y0 - start, 0), r)  # class-0 points of this chunk, sorted first
             if r == 1:
                 # one point per call on 1-D rows, which costs less per call
-                _column_distances(centroids, points[0], dist[0], diff[0])
-                np.less(dist[0, width:], dist[0, :width], out=pred1[0])  # tie -> class 0
-                (np.add if zeros else np.subtract)(wrong, pred1[0], out=wrong)
-                continue
-            _column_distances(centroids, points.T[:, :, None], dist[:r], diff[:r])
-            np.less(dist[:r, width:], dist[:r, :width], out=pred1[:r])  # tie -> class 0
-            votes = pred1[:r].view(np.uint8)
-            if zeros:
-                wrong += np.add.reduce(votes[:zeros], axis=0, dtype=np.int32)
-            if zeros < r:
-                wrong -= np.add.reduce(votes[zeros:], axis=0, dtype=np.int32)
-        # degenerate single-class labelings predict the nonempty class
-        wrong[counts[1] == 0] = self._errors_y1
-        wrong[counts[0] == 0] = self._errors_y0
+                _column_distances(centroids, points[:, 0, 0], dist[0], diff[0])
+            else:
+                _column_distances(centroids, points, dist[:r], diff[:r])
+            if zeros:  # a class-0 point is missed where it predicts class 1
+                np.less(theirs[:zeros, :tests], ours[:zeros, :tests], out=miss[:zeros, :tests])
+            if zeros < r:  # a class-1 point where it predicts class 0
+                np.less_equal(ours[zeros:r, :tests], theirs[zeros:r, :tests], out=miss[zeros:r, :tests])
+            if r == 1:
+                wrong += miss[0, :tests]
+            else:
+                wrong += np.add.reduce(miss[:r, :tests].view(np.uint8), axis=0, dtype=np.int32)
         return wrong
 
     def errors_for_words(self, words: np.ndarray) -> np.ndarray:
@@ -428,45 +476,63 @@ class _CentroidEvaluator:
         counts = np.empty((2, words.shape[0]))
         counts[1] = sums[2 * d]
         np.subtract(n, counts[1], out=counts[0])
-        return self._errors_of_sums(sums[: 2 * d].reshape(d, 2, -1), counts)
+        # a labeling with an empty class predicts the nonempty class
+        empty = counts == 0
+        np.maximum(counts, 1, out=counts)
+        wrong = self._errors_of_sums(sums[: 2 * d].reshape(d, 2, -1), counts)[0]
+        wrong[empty[1]] = self._errors_y1
+        wrong[empty[0]] = self._errors_y0
+        return wrong
 
     def errors_for_block(self, high: int, bits: int) -> np.ndarray:
         """Error counts of the 2**bits words ``high + s`` in ascending s;
         ``high`` has no set bit below ``bits``."""
-        return self._errors_of_sums(*self._block_sums(high, bits))
+        return self._block_errors(high, bits, False)[0]
+
+    def _block_errors(self, high: int, bits: int, pairs: bool) -> np.ndarray:
+        """``_errors_of_sums`` of the words of ``errors_for_block``, with
+        words 0 and 2**n - 1, the only ones with an empty class, scored
+        as predicting the nonempty class everywhere."""
+        sums, counts = self._block_sums(high, bits)
+        first, last = high == 0, high + (1 << bits) == 1 << len(self._rows)
+        if first:
+            counts[1, 0] = 1
+        if last:
+            counts[0, -1] = 1
+        wrong = self._errors_of_sums(sums, counts, pairs)
+        tests = wrong.shape[0]
+        if first:  # class 0 everywhere, and for the complement class 1
+            wrong[:, 0] = (self._errors_y1, self._errors_y0)[:tests]
+        if last:
+            wrong[:, -1] = (self._errors_y0, self._errors_y1)[:tests]
+        return wrong
 
     def sweep(self, prefix_word: int, low_bits: int, tracker) -> None:
         """Score the words that share ``prefix_word``'s bits from
-        ``low_bits`` up in blocks of up to 2**``_BLOCK_BITS`` consecutive
-        words, and merge each block's summary into ``tracker`` unless its
-        best is above the tracker's."""
-        bits = min(low_bits, _BLOCK_BITS)
+        ``low_bits`` up, whose top bit is clear, in blocks of up to
+        2**(``_BLOCK_BITS`` - 1) consecutive words, each with its mirror
+        block of their complements, and merge each pair's summary into
+        ``tracker`` unless its best is above the tracker's."""
+        bits = min(low_bits, _BLOCK_BITS - 1)
+        # the complement of high + s is mirror - high + (2**bits - 1 - s)
+        mirror = (1 << len(self._rows)) - (1 << bits)
         for high in range(prefix_word, prefix_word + (1 << low_bits), 1 << bits):
-            errs = self.errors_for_block(high, bits)
-            low = int(errs.min())
-            if low <= tracker.best:
-                hits = np.flatnonzero(errs == low)
-                tracker.merge(low, hits.size, hits + high)
+            _merge_pair(tracker, high, mirror - high, self._block_errors(high, bits, True))
 
     def _block_sums(self, high: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
         """Class sums (d, 2, 2**bits) and class counts (2, 2**bits) of the
         words of ``errors_for_block``, laid out as ``_errors_of_sums``
-        takes them."""
+        takes them.  The counts are one more column of the same folds, a
+        1 for each row."""
         table = self._block_table[:, : 1 << bits]
-        d = self.pool_x.shape[1]
-        sums = np.empty((d, 2, 1 << bits))
+        sums = np.empty((table.shape[0], 2, 1 << bits))
         by_class = (sums[:, 0], sums[:, 1])
-        np.copyto(by_class[0], table[:d, ::-1])  # the clear bits of s are the set bits of its complement
-        np.copyto(by_class[1], table[:d])
-        set_high = 0
+        np.copyto(by_class[0], table[:, ::-1])  # the clear bits of s are the set bits of its complement
+        np.copyto(by_class[1], table)
         for i in range(bits, len(self._rows)):
             bit = (high >> i) & 1
             np.add(by_class[bit], self._row_columns[i], out=by_class[bit])
-            set_high += bit
-        counts = np.empty((2, 1 << bits))
-        np.add(table[d], set_high, out=counts[1])
-        np.subtract(len(self._rows), counts[1], out=counts[0])
-        return sums, counts
+        return sums[:-1], sums[-1]
 
 
 # --- Gray-code enumeration --------------------------------------------------
@@ -540,14 +606,20 @@ class _OneNNEvaluator:
     def sweep(self, prefix_word: int, low_bits: int, tracker) -> None:
         """Walk the words that share ``prefix_word``'s bits from
         ``low_bits`` up in Gray order, from a fresh reset, and merge
-        into ``tracker`` one summary per block of ``_gray_flip_blocks``.
+        into ``tracker`` two summaries per block of ``_gray_flip_blocks``:
+        one of the words walked and one of their complements.
 
-        A block lists the words that tie the best error seen so far in
-        the walk, and starts its list anew when that best drops; the
-        other candidates could not change the summary.
+        Every trusted point is an error under exactly one of w and ~w,
+        so err(~w) = m - err(w).  A block lists the words that tie the
+        best error seen so far in the walk, and the words whose
+        complements tie the complements' best, which is the highest
+        err(w) seen; each list starts anew when its best drops.  The
+        other candidates could not change the summaries.
         """
-        best = self.reset(prefix_word)
-        words = [prefix_word]
+        trusted = self._base + sum(self._y0)
+        mask = (1 << len(self._y0)) - 1
+        best = worst = self.reset(prefix_word)
+        words, complements = [prefix_word], [prefix_word]
         flip, errors = self.flip, self.errors
         for block in _gray_flip_blocks(low_bits):
             for i in block:
@@ -557,9 +629,17 @@ class _OneNNEvaluator:
                     if err < best:
                         best, words = err, []
                     words.append(self.word)
+                if err >= worst:
+                    if err > worst:
+                        worst, complements = err, []
+                    complements.append(self.word)
             if words:
                 tracker.merge(best, len(words), np.sort(np.array(words, dtype=np.int64)))
                 words = []
+            if complements:
+                flipped = mask ^ np.array(complements, dtype=np.int64)
+                tracker.merge(trusted - worst, len(complements), np.sort(flipped))
+                complements = []
 
 
 def _make_evaluator(kind: str, pool_x, ax, ay):

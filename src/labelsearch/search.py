@@ -1,14 +1,17 @@
 """Search over the 2**n labelings of an unlabeled pool.
 
-The exhaustive searcher splits the labeling hypercube into subcubes by
-the top bits of the word and has each subcube swept by the learner's
-evaluator (``sweep`` in ``learners``), which merges one optimum summary
-per block into its share's tracker; how a learner walks a subcube is
-decided there, and a word scores the same whichever subcube it falls
-in.  Summaries (best error, exact optimum count, smallest optimum
-words) merge in any order, so blocks, subcubes and shares may report
-in any order, and the outcome is independent of worker count and
-scheduling.
+The exhaustive searcher splits the half of the labeling hypercube whose
+words have the top bit clear into subcubes by the top bits of the word
+(``_sweep_shares``) and has each subcube swept by the learner's
+evaluator (``sweep`` in ``learners``).  The evaluator scores the
+subcube together with the subcube of its complements, whose class sums
+or tallies are the subcube's swapped, and merges optimum summaries of
+the blocks it scores into its share's tracker; how a learner walks a
+subcube is decided there, and a word scores the same whichever subcube
+it falls in.  Summaries (best error, exact optimum count, smallest
+optimum words) merge in any order, so blocks, subcubes and shares may
+report in any order, and the outcome is independent of worker count
+and scheduling.
 
 Parallel sweeps run on a group of worker processes forked once, the
 first time a call asks for more than one worker, and kept for the life
@@ -117,13 +120,33 @@ class _DedupeTracker:
 
 # --- exhaustive search ------------------------------------------------------
 
+def _sweep_shares(n: int, workers: int) -> list:
+    """Cut the 2**n words into jobs and deal them round-robin into at
+    most ``workers`` shares.
+
+    A job ``(prefix_word, low_bits)`` is the subcube of words that share
+    the prefix's bits from ``low_bits`` up.  Every prefix has the top
+    bit clear, and the learner's sweep scores each subcube together with
+    its complement subcube, so the jobs cover every word or its
+    complement exactly once.  One worker takes the whole half cube.
+    More take ``ceil(log2(workers)) + 1`` prefix bits, one more than a
+    cut of the whole cube into one subcube per share would, so that the
+    half cube still holds a job for each share where n allows.
+    """
+    prefix_bits = 1 if workers == 1 else min(n, (workers - 1).bit_length() + 1)
+    low_bits = n - prefix_bits
+    jobs = [(p << low_bits, low_bits) for p in range(1 << (prefix_bits - 1))]
+    return [jobs[w::workers] for w in range(workers) if jobs[w::workers]]
+
+
 def _run_sweep_jobs(payload):
-    """Sweep a share of subcubes; runs in this process or in a worker.
+    """Sweep a share of jobs; runs in this process or in a worker.
 
     Each job fixes the top bits of the word (the subcube prefix) and the
-    evaluator sweeps the remaining low bits into the share's tracker.
-    Returns the share's optimum summary and busy seconds: (best errors,
-    exact optimum count, capped ascending optimum words, busy).
+    evaluator sweeps the remaining low bits, and the complements of
+    those words, into the share's tracker.  Returns the share's optimum
+    summary and busy seconds: (best errors, exact optimum count, capped
+    ascending optimum words, busy).
     """
     pool_x, ax, ay, kind, jobs = payload
     evaluator = _make_evaluator(kind, pool_x, ax, ay)
@@ -225,22 +248,23 @@ def _place(workers: list, shares: list) -> None:
     and the scheduler may leave it there for a whole call, so that every
     share runs on one CPU.  In a sweep of 2**``_SPREAD_BITS`` words or
     more, each worker is pinned to the usable CPU with the fewest
-    subcubes so far, the caller's CPU starting with the caller's share.
-    A smaller sweep keeps every worker on the caller's CPU, which spares
-    it the wake-up of an idle one.  Placement is a hint: where it cannot
-    be read or set, it is left as it is.
+    jobs so far, the caller's CPU starting with the caller's share; a
+    job counts as its subcube and the complement subcube, ``2 <<
+    low_bits`` words.  A smaller sweep keeps every worker on the
+    caller's CPU, which spares it the wake-up of an idle one.  Placement
+    is a hint: where it cannot be read or set, it is left as it is.
     """
     if not hasattr(os, "sched_setaffinity"):
         return
-    spread = sum(map(len, shares)) << shares[0][0][1] >= 1 << _SPREAD_BITS
+    spread = sum(map(len, shares)) * (2 << shares[0][0][1]) >= 1 << _SPREAD_BITS
     try:
         here = _current_cpu()
         cpus = sorted(os.sched_getaffinity(0))
-        subcubes = dict.fromkeys(cpus, 0)
-        subcubes[here] = len(shares[0])
+        jobs = dict.fromkeys(cpus, 0)
+        jobs[here] = len(shares[0])
         for (process, _), share in zip(workers, shares[1:]):
-            cpu = min(cpus, key=subcubes.__getitem__) if spread else here
-            subcubes[cpu] += len(share)
+            cpu = min(cpus, key=jobs.__getitem__) if spread else here
+            jobs[cpu] += len(share)
             os.sched_setaffinity(process.pid, {cpu})
     except (OSError, ValueError, IndexError):
         pass  # a dead worker is reported when its result is read
@@ -311,32 +335,30 @@ def exhaustive_search(
 
     The outcome (best error, optimum set, evaluation count) is
     deterministic and identical for any worker count; only the wall
-    clock changes.  ``workers`` must lie in [1, ``MAX_WORKERS``]; with
-    more than one, the top bits of the word split the sweep into
-    subcubes dealt round-robin to ``workers`` shares.  This process
-    sweeps the first share and the persistent worker group the others
-    (POSIX ``fork`` start method); the group is forked at the first
-    such call, grown when a call needs more workers, and forked anew
-    after a worker has died; each call pins each worker to a CPU
-    (``_place``), and calls from several threads take turns.  A worker
-    that raises or dies raises ``RuntimeError`` here; on that or on
-    Ctrl-C the group is stopped and joined.  A caller that passes
-    ``executor`` has every share submitted to that pool instead.
+    clock changes.  Every word is scored once, each in a job with its
+    complement, so ``evaluations`` is 2**n.  ``workers`` must lie in
+    [1, ``MAX_WORKERS``]; with more than one, the top bits of the word
+    split the sweep into jobs dealt round-robin to ``workers`` shares
+    (``_sweep_shares``).  This process sweeps the first share and the
+    persistent worker group the others (POSIX ``fork`` start method);
+    the group is forked at the first such call, grown when a call needs
+    more workers, and forked anew after a worker has died; each call
+    pins each worker to a CPU (``_place``), and calls from several
+    threads take turns.  A worker that raises or dies raises
+    ``RuntimeError`` here; on that or on Ctrl-C the group is stopped
+    and joined.  A caller that passes ``executor`` has every share
+    submitted to that pool instead.
     """
     _check_kind(learner_kind)
     n = task.n
     _check_exhaustive_cap(n, cap)
     workers = _check_workers(workers)
 
-    prefix_bits = 0 if workers == 1 else min(n, (workers - 1).bit_length())
-    low_bits = n - prefix_bits
-    jobs = [(p << low_bits, low_bits) for p in range(1 << prefix_bits)]
-
+    shares = _sweep_shares(n, workers)
     started = time.perf_counter()
     base = (task.pool.x, task.trusted.x, task.trusted.y, learner_kind)
-    shares = [jobs[w::workers] for w in range(workers) if jobs[w::workers]]
     if workers == 1:
-        results = [_run_sweep_jobs(base + (jobs,))]
+        results = [_run_sweep_jobs(base + (shares[0],))]
     elif executor is not None:
         futures = [executor.submit(_run_sweep_jobs, base + (share,)) for share in shares]
         results = [fut.result() for fut in futures]

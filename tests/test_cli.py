@@ -174,6 +174,8 @@ def test_config_task_integers_that_are_not_integers_exit_one(tmp_path, capsys, c
      "initial_temp must be positive and finite, got inf"),
     (["search", "exhaustive", "--t0", "inf", "--task", "{data}/task_m1_n6_d1.json", "--out", "{tmp}/r.json"],
      "Out of range float values are not JSON compliant"),
+    (["cost-model", "table", "--n", "1:30", "--tc-ms", "1e-320", "--out", "{tmp}/s.csv"],
+     "runtime at n=1 with t_c=1e-323 underflows the normal float range"),
 ])
 def test_malformed_flag_values_exit_one_with_message(tmp_path, capsys, args, message):
     rc = main([arg.format(tmp=tmp_path, data=DATA) for arg in args])
@@ -386,6 +388,14 @@ def test_cost_model_table_prints_column_slopes(tmp_path, capsys):
     assert float(slopes["T_const"]) == pytest.approx(1.0)
     assert float(slopes["T_exp"]) == pytest.approx(0.5)
     assert float(slopes["grover_queries"]) == pytest.approx(0.5)
+
+
+def test_cost_model_table_past_a_float_step(tmp_path):
+    # 1000**200 overflows a float on its own; the runtime it divides fits
+    out = tmp_path / "table.csv"
+    assert main(["cost-model", "table", "--n", "1000:1001", "--regimes", "poly:200", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[0] == "1000" and float(row[3]) == pytest.approx(1.0715086071862673e-302, rel=1e-12)
 
 
 def test_compare_baselines_script_runs():

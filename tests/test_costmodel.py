@@ -59,6 +59,26 @@ def test_classical_rejects_bad_inputs():
     assert classical_runtime(1100, Fraction(1, 1000)) == Fraction(2**1100, 1000)
 
 
+def test_runtimes_past_a_float_step_are_computed_and_those_below_normal_refused():
+    # 1000**200 and 2**1100 overflow a float on their own; the runtimes
+    # they enter do not
+    exact = Fraction(2**1000) * Fraction(0.001) / Fraction(1000) ** 200
+    assert regime_runtime(1000, 0.001, SpeedupRegime.polynomial(200.0)) == pytest.approx(float(exact), rel=1e-12)
+    exact = Fraction(2**1100) * Fraction(1e-300)
+    assert classical_runtime(1100, 1e-300) == pytest.approx(float(exact), rel=1e-12)
+    # a subnormal time keeps too few bits; one below the smallest
+    # subnormal would read 0
+    for n, t_c in ((1, 1e-323), (3, 2.0**-1030)):
+        with pytest.raises(ValueError, match=re.escape(f"runtime at n={n} with t_c={t_c!r} underflows")):
+            classical_runtime(n, t_c)
+        for regime in _REGIMES:
+            with pytest.raises(ValueError, match=re.escape(f"runtime at n={n} with t_c={t_c!r} underflows")):
+                regime_runtime(n, t_c, regime)
+    with pytest.raises(ValueError, match=re.escape("runtime at n=1000 with t_c=0.001 underflows")):
+        regime_runtime(1000, 0.001, SpeedupRegime.polynomial(300.0))
+    assert classical_runtime(1, Fraction(1, 2**1100)) == Fraction(1, 2**1099)
+
+
 # --- accelerated runtime (constant regime) ---------------------------------
 
 def _constant(n, t_c, speedup):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,8 @@ from labelsearch import (
     generate_task,
     predict,
 )
+from labelsearch import learners, search
+from labelsearch.search import error_counts_for_words
 from labelsearch.learners import _BLOCK_BITS, _make_evaluator, nearest_pool_index, predict_points, squared_distances
 
 from conftest import learner_kinds, small_tasks
@@ -290,22 +294,111 @@ def test_predict_separable_blobs_reach_zero_error():
         assert ((point - own) ** 2).sum() < ((point - other) ** 2).sum()
 
 
+def _tie_task():
+    """Pool [0] and [2] and one trusted point [1] of class 1: under words
+    0b01 and 0b10 the point is as near one centroid as the other."""
+    return Task(trusted=TrustedSet(np.array([[1.0]]), np.array([1])), pool=UnlabeledPool(np.array([[0.0], [2.0]])))
+
+
+def _label_swap_sides(task, word, kind):
+    """Errors of ``word`` on the trusted set, errors of its complement on
+    the trusted set with every label swapped, and the difference of the
+    two that the label-swap identity gives."""
+    swapped = TrustedSet(task.trusted.x, 1 - task.trusted.y)
+    state = fit(task.pool, Labeling(word, task.n), kind)
+    errors = int(np.count_nonzero(predict(state, task.trusted) != task.trusted.y))
+    complement = fit(task.pool, Labeling(word ^ ((1 << task.n) - 1), task.n), kind)
+    errors_swapped = int(np.count_nonzero(predict(complement, swapped) != swapped.y))
+    # swapping the class names everywhere keeps each prediction right or
+    # wrong, except that a point equally near both centroids predicts
+    # class 0 under both words: an error under the word if its label is
+    # 1, and under the complement if it is 0
+    gap = 0
+    if kind == "centroid" and min(state.class_counts) > 0:
+        c0, c1 = (state.class_sums[c] / state.class_counts[c] for c in (0, 1))
+        tied = task.trusted.y[squared_distances(task.trusted.x, c0) == squared_distances(task.trusted.x, c1)]
+        gap = int(np.count_nonzero(tied == 1)) - int(np.count_nonzero(tied == 0))
+    return errors, errors_swapped, gap
+
+
 @given(small_tasks(max_n=10), learner_kinds, st.data())
 def test_label_swap_symmetry(task, kind, data):
     # swapping class names everywhere (pool labels and trusted labels)
-    # leaves the error rate unchanged
+    # leaves the error count unchanged, but for centroid ties
     word = data.draw(st.integers(0, (1 << task.n) - 1))
-    swapped_word = word ^ ((1 << task.n) - 1)
-    mu = evaluate_mu(
-        predict(fit(task.pool, Labeling(word, task.n), kind), task.trusted),
-        task.trusted,
-    )
-    swapped_trusted = TrustedSet(task.trusted.x, 1 - task.trusted.y)
-    mu_swapped = evaluate_mu(
-        predict(fit(task.pool, Labeling(swapped_word, task.n), kind), swapped_trusted),
-        swapped_trusted,
-    )
-    assert mu == mu_swapped
+    errors, errors_swapped, gap = _label_swap_sides(task, word, kind)
+    assert errors - errors_swapped == gap
+
+
+def test_label_swap_symmetry_at_a_centroid_tie():
+    assert _label_swap_sides(_tie_task(), 0b10, "centroid") == (1, 0, 1)
+    assert _label_swap_sides(_tie_task(), 0b10, "onenn") == (1, 1, 0)
+
+
+# --- complement pairing -----------------------------------------------------
+
+def _pairing_tasks():
+    """The tie task, and grid and jittered tasks of one and of several
+    centroid sweep blocks."""
+    rng = np.random.default_rng(21)
+    tasks = {"tie": _tie_task()}
+    for n in (_BLOCK_BITS - 2, _BLOCK_BITS + 2):
+        task = generate_task(TaskSpec(m=6, n=n, d=2, separation=1.0, noise_sigma=1.0, seed=n))
+        tasks[f"grid-{n}"] = task
+        tasks[f"jittered-{n}"] = Task(
+            trusted=TrustedSet(task.trusted.x + rng.uniform(-1e-3, 1e-3, size=task.trusted.x.shape), task.trusted.y),
+            pool=UnlabeledPool(task.pool.x + rng.uniform(-1e-3, 1e-3, size=task.pool.x.shape)),
+        )
+    return tasks
+
+
+class _Recorder:
+    """A tracker whose best never drops, so every summary reaches it."""
+
+    best = math.inf
+
+    def __init__(self):
+        self.summaries = []
+
+    def merge(self, best, count, words):
+        self.summaries.append((best, count, words.tolist()))
+
+
+@pytest.mark.parametrize("name, task", _pairing_tasks().items())
+@pytest.mark.parametrize("kind", ["centroid", "onenn"])
+def test_sweep_scores_complements_as_batch_scoring_does(name, task, kind, monkeypatch):
+    n = task.n
+    expected = error_counts_for_words(task, np.arange(1 << n), kind)
+    if not name.startswith("jittered"):  # refits round their sums otherwise
+        assert expected.tolist() == naive_error_counts(task, kind).tolist()
+    scores = []  # the centroid sweep's (word, errors) of every word it scores
+    real_merge_pair = learners._merge_pair
+
+    def recording_merge_pair(tracker, high, mirror, wrong):
+        width = wrong.shape[1]
+        scores.extend(zip(range(high, high + width), wrong[0].tolist()))
+        scores.extend(zip(range(mirror + width - 1, mirror - 1, -1), wrong[1].tolist()))
+        real_merge_pair(tracker, high, mirror, wrong)
+
+    monkeypatch.setattr(learners, "_merge_pair", recording_merge_pair)
+    for workers in (1, 2, 5):
+        scores.clear()
+        evaluator = _make_evaluator(kind, task.pool.x, task.trusted.x, task.trusted.y)
+        recorder = _Recorder()
+        for share in search._sweep_shares(n, workers):
+            for prefix_word, low_bits in share:
+                evaluator.sweep(prefix_word, low_bits, recorder)
+        # each summary lists every word of its part that reaches its best
+        listed = []
+        for best, count, words in recorder.summaries:
+            assert count == len(words) and words == sorted(words)
+            assert expected[words].tolist() == [best] * count, (workers, best, words)
+            listed += words
+        assert len(listed) == len(set(listed))
+        assert any(word >> (n - 1) for word in listed)  # complements are reported
+        if kind == "centroid":
+            # the blocks and their mirror blocks score every word once
+            assert sorted(scores) == list(enumerate(expected.tolist())), workers
 
 
 # --- nearest-neighbor machinery ---------------------------------------------

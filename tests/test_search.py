@@ -187,6 +187,21 @@ def test_off_grid_centroid_outcome_is_identical_for_any_worker_count(task, seed)
         assert _summary(exhaustive_search(task, "centroid", workers=workers)) == reference
 
 
+@pytest.mark.parametrize("workers", [*range(1, 10), 16, 256])
+def test_sweep_shares_cover_every_word_or_its_complement_once(workers):
+    for n in range(1, 21):
+        shares = search._sweep_shares(n, workers)
+        # every share gets a job where the half cube has enough words,
+        # and round-robin dealing keeps their sizes within one job
+        assert len(shares) == min(workers, 1 << (n - 1))
+        assert max(map(len, shares)) - min(map(len, shares)) <= 1
+        subcubes = [prefix + np.arange(1 << low_bits) for share in shares for prefix, low_bits in share]
+        words = np.concatenate(subcubes)
+        assert not np.any(words >> (n - 1)), "a job word with its top bit set"
+        visits = np.bincount(np.concatenate((words, ((1 << n) - 1) ^ words)), minlength=1 << n)
+        assert visits.size == 1 << n and np.all(visits == 1), n
+
+
 def test_fan_out_forks_one_child_per_extra_share(monkeypatch):
     # the group forks each worker once and keeps it; it grows to the
     # largest number of extra shares any call has asked for
@@ -204,8 +219,7 @@ def test_fan_out_forks_one_child_per_extra_share(monkeypatch):
             task = generate_task(TaskSpec(m=4, n=n, d=2, separation=1.0, noise_sigma=1.0, seed=n))
             for workers in (2, 3, 5, 8):
                 exhaustive_search(task, "onenn", workers=workers)
-                subcubes = 1 << min(n, (workers - 1).bit_length())
-                largest = max(largest, min(workers, subcubes) - 1)
+                largest = max(largest, len(search._sweep_shares(n, workers)) - 1)
                 assert len(started) == largest
     assert [process for process, _ in search._GROUP.workers] == started
     assert len(set(started)) == largest == 7
