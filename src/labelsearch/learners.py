@@ -272,6 +272,14 @@ def _column_distances(columns: np.ndarray, point, acc: np.ndarray, diff: np.ndar
         np.add(acc, diff, out=acc)
 
 
+def _page_view(buffer: np.ndarray, start: int, size: int, offset: int) -> tuple[np.ndarray, int]:
+    """``size`` values of ``buffer`` from its first index at or after
+    ``start`` whose address is ``offset`` bytes past a multiple of 4 KiB,
+    and the index after them."""
+    start += (offset - buffer.ctypes.data - start * buffer.itemsize) % 4096 // buffer.itemsize
+    return buffer[start : start + size], start + size
+
+
 # --- evaluators -------------------------------------------------------------
 #
 # An evaluator holds one labeling word of the pool and the learner state
@@ -280,8 +288,7 @@ def _column_distances(columns: np.ndarray, point, acc: np.ndarray, diff: np.ndar
 # scoring, and ``errors()`` scores the current state.  Walks that undo a
 # rejected flip call ``flip`` twice and score once.
 # ``errors_for_words(words)`` scores a uint64 array of words at once and
-# leaves the current state alone, as does the centroid evaluator's
-# ``errors_for_block(high, bits)`` for the 2**bits words from ``high``.
+# leaves the current state alone.
 # ``sweep(prefix_word, low_bits, tracker)`` scores the subcube of the
 # 2**low_bits words that share ``prefix_word``'s higher bits, whose top
 # bit is clear, together with the subcube of their complements: the
@@ -405,16 +412,28 @@ class _CentroidEvaluator:
         return int(np.count_nonzero((d1 < d0) != self._is_one))  # tie -> class 0
 
     def _scratch_for(self, width: int) -> tuple:
-        """Distances, their scratch space and missed-point flags for
-        scoring ``width`` candidates and their complements; a sweep's
-        blocks share one set."""
+        """Centroid columns, distances, their scratch space and
+        missed-point flags for scoring ``width`` candidates and their
+        complements; a sweep's blocks share one set."""
         if width != self._scratch_width:
+            coords = self._point_columns.shape[0]
             rows = min(max(1, _SCORE_CELLS // (2 * width)), self._point_columns.shape[1])
-            dist = np.empty((rows, 2 * width))
+            cells = rows * 2 * width
+            # One buffer holds the distances, their scratch space and the
+            # centroids, 0, 2 and 1 KiB past a multiple of 4 KiB.  Apart,
+            # the heap may put one a few bytes past a multiple of 4 KiB from
+            # another, and a load from it then waits for each store to the
+            # other (4K aliasing), so that a sweep's speed would depend on
+            # the heap's earlier history.
+            buffer = np.empty(2 * cells + coords * 2 * width + 3 * 512)
+            dist, end = _page_view(buffer, 0, cells, 0)
+            diff, end = _page_view(buffer, end, cells, 2048)
+            centroids, _ = _page_view(buffer, end, coords * 2 * width, 1024)
             # per trusted point, [d0, d1] beside [d1, d0]
             by_class = dist.reshape(rows, 2, width)
             miss = np.empty((rows, 2, width), dtype=bool)
-            self._scratch = dist, np.empty_like(dist), by_class, by_class[:, ::-1], miss
+            self._scratch = (centroids.reshape(coords, 2, width), dist.reshape(rows, 2 * width),
+                             diff.reshape(rows, 2 * width), by_class, by_class[:, ::-1], miss)
             self._scratch_width = width
         return self._scratch
 
@@ -436,8 +455,9 @@ class _CentroidEvaluator:
         d0 < d1, and a tie predicts class 0 under both.
         """
         width = counts.shape[1]
-        centroids = (sums / counts).reshape(sums.shape[0], 2 * width)
-        dist, diff, ours, theirs, miss = self._scratch_for(width)
+        centroids, dist, diff, ours, theirs, miss = self._scratch_for(width)
+        np.divide(sums, counts, out=centroids)
+        centroids = centroids.reshape(sums.shape[0], 2 * width)
         tests = 2 if pairs else 1
         rows = dist.shape[0]
         wrong = np.zeros((tests, width), dtype=np.int64)
@@ -484,27 +504,18 @@ class _CentroidEvaluator:
         wrong[empty[0]] = self._errors_y0
         return wrong
 
-    def errors_for_block(self, high: int, bits: int) -> np.ndarray:
-        """Error counts of the 2**bits words ``high + s`` in ascending s;
-        ``high`` has no set bit below ``bits``."""
-        return self._block_errors(high, bits, False)[0]
-
-    def _block_errors(self, high: int, bits: int, pairs: bool) -> np.ndarray:
-        """``_errors_of_sums`` of the words of ``errors_for_block``, with
-        words 0 and 2**n - 1, the only ones with an empty class, scored
-        as predicting the nonempty class everywhere."""
+    def _block_errors(self, high: int, bits: int) -> np.ndarray:
+        """Error counts of the 2**bits words ``high + s`` in ascending s,
+        in row 0, and of their complements, in row 1; ``high`` has no set
+        bit below ``bits`` and the block's words have the top bit clear.
+        Word 0, the only one of them with an empty class, predicts class
+        0 everywhere and its complement class 1."""
         sums, counts = self._block_sums(high, bits)
-        first, last = high == 0, high + (1 << bits) == 1 << len(self._rows)
-        if first:
+        if high == 0:
             counts[1, 0] = 1
-        if last:
-            counts[0, -1] = 1
-        wrong = self._errors_of_sums(sums, counts, pairs)
-        tests = wrong.shape[0]
-        if first:  # class 0 everywhere, and for the complement class 1
-            wrong[:, 0] = (self._errors_y1, self._errors_y0)[:tests]
-        if last:
-            wrong[:, -1] = (self._errors_y0, self._errors_y1)[:tests]
+        wrong = self._errors_of_sums(sums, counts, pairs=True)
+        if high == 0:
+            wrong[:, 0] = self._errors_y1, self._errors_y0
         return wrong
 
     def sweep(self, prefix_word: int, low_bits: int, tracker) -> None:
@@ -517,13 +528,13 @@ class _CentroidEvaluator:
         # the complement of high + s is mirror - high + (2**bits - 1 - s)
         mirror = (1 << len(self._rows)) - (1 << bits)
         for high in range(prefix_word, prefix_word + (1 << low_bits), 1 << bits):
-            _merge_pair(tracker, high, mirror - high, self._block_errors(high, bits, True))
+            _merge_pair(tracker, high, mirror - high, self._block_errors(high, bits))
 
     def _block_sums(self, high: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
         """Class sums (d, 2, 2**bits) and class counts (2, 2**bits) of the
-        words of ``errors_for_block``, laid out as ``_errors_of_sums``
-        takes them.  The counts are one more column of the same folds, a
-        1 for each row."""
+        2**bits words ``high + s`` in ascending s, laid out as
+        ``_errors_of_sums`` takes them.  The counts are one more column
+        of the same folds, a 1 for each row."""
         table = self._block_table[:, : 1 << bits]
         sums = np.empty((table.shape[0], 2, 1 << bits))
         by_class = (sums[:, 0], sums[:, 1])

@@ -15,9 +15,10 @@ and scheduling.
 
 Parallel sweeps run on a group of worker processes forked once, the
 first time a call asks for more than one worker, and kept for the life
-of the process; each call pins each worker to a CPU and sends it the
-task and its share over a pipe.  Each share builds its own evaluator,
-so the group is the only state this module keeps between calls.
+of the process; each worker is pinned to one CPU when it is forked, and
+each call sends it the task and its share over a pipe.  Each share
+builds its own evaluator, so the group is the only state this module
+keeps between calls.
 
 Heuristic searchers (uniform random, first-improvement greedy flips,
 simulated annealing) share the evaluators and the outcome format; they
@@ -27,6 +28,7 @@ can only match, never beat, the exhaustive optimum.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import math
 import multiprocessing
 import os
@@ -184,9 +186,14 @@ class _SweepGroup:
 
     Worker i (from 1) sweeps share i of every parallel call.  The group
     grows when a call needs more workers than it has and is forked anew
-    when one of them has died.  The workers are daemon processes and are
-    closed at exit; a process forked from this one drops the group
-    without touching its workers.
+    when one of them has died.  Each worker is pinned once, when it is
+    forked, to CPU i modulo k of the k CPUs the caller may use then: a
+    worker woken by the caller's pipe write is otherwise queued on the
+    caller's CPU, and the scheduler may leave it there for a whole call.
+    The pins keep the caller's affinity at the fork; the caller itself
+    stays unpinned, and a pin that cannot be set is left out.  The
+    workers are daemon processes and are closed at exit; a process
+    forked from this one drops the group without touching its workers.
     """
 
     def __init__(self):
@@ -194,17 +201,23 @@ class _SweepGroup:
         self.lock = threading.Lock()
 
     def grow(self, count: int) -> list:
-        """The first ``count`` workers, forking any that are missing."""
+        """The first ``count`` workers, forking and pinning any that are
+        missing."""
         if any(not process.is_alive() for process, _ in self.workers):
             self.close()
         context = multiprocessing.get_context("fork")
         while len(self.workers) < count:
+            number = len(self.workers) + 1
             here, there = context.Pipe()
             process = context.Process(target=_group_worker, args=(there, here), daemon=True,
-                                      name=f"labelsearch-sweep-{len(self.workers) + 1}")
+                                      name=f"labelsearch-sweep-{number}")
             process.start()
             there.close()
             self.workers.append((process, here))
+            if hasattr(os, "sched_setaffinity"):
+                cpus = sorted(os.sched_getaffinity(0))
+                with contextlib.suppress(OSError):  # a worker that died is reported when read
+                    os.sched_setaffinity(process.pid, {cpus[number % len(cpus)]})
         return self.workers[:count]
 
     def close(self) -> None:
@@ -230,46 +243,6 @@ os.register_at_fork(after_in_child=_GROUP.forget)
 atexit.register(_GROUP.close)
 
 
-def _current_cpu() -> int:
-    """The CPU this process is running on (Linux ``/proc``)."""
-    with open("/proc/self/stat", encoding="ascii") as fh:
-        return int(fh.read().rsplit(")", 1)[1].split()[36])
-
-
-#: Sweeps of fewer than 2**12 words take about a millisecond or less,
-#: which waking idle CPUs can cost on its own.
-_SPREAD_BITS = 12
-
-
-def _place(workers: list, shares: list) -> None:
-    """Pin each worker to the CPU it runs on for this call.
-
-    A worker woken by the caller's send is queued on the caller's CPU,
-    and the scheduler may leave it there for a whole call, so that every
-    share runs on one CPU.  In a sweep of 2**``_SPREAD_BITS`` words or
-    more, each worker is pinned to the usable CPU with the fewest
-    jobs so far, the caller's CPU starting with the caller's share; a
-    job counts as its subcube and the complement subcube, ``2 <<
-    low_bits`` words.  A smaller sweep keeps every worker on the
-    caller's CPU, which spares it the wake-up of an idle one.  Placement
-    is a hint: where it cannot be read or set, it is left as it is.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    spread = sum(map(len, shares)) * (2 << shares[0][0][1]) >= 1 << _SPREAD_BITS
-    try:
-        here = _current_cpu()
-        cpus = sorted(os.sched_getaffinity(0))
-        jobs = dict.fromkeys(cpus, 0)
-        jobs[here] = len(shares[0])
-        for (process, _), share in zip(workers, shares[1:]):
-            cpu = min(cpus, key=jobs.__getitem__) if spread else here
-            jobs[cpu] += len(share)
-            os.sched_setaffinity(process.pid, {cpu})
-    except (OSError, ValueError, IndexError):
-        pass  # a dead worker is reported when its result is read
-
-
 def _run_on_group(base: tuple, shares: list) -> list:
     """Sweep ``shares[0]`` here and share i on the group's worker i;
     returns the shares' summaries.
@@ -282,7 +255,6 @@ def _run_on_group(base: tuple, shares: list) -> list:
     with _GROUP.lock:
         try:
             workers = _GROUP.grow(len(shares) - 1)
-            _place(workers, shares)
             for (_, conn), share in zip(workers, shares[1:]):
                 try:
                     conn.send(base + (share,))
@@ -342,9 +314,9 @@ def exhaustive_search(
     (``_sweep_shares``).  This process sweeps the first share and the
     persistent worker group the others (POSIX ``fork`` start method);
     the group is forked at the first such call, grown when a call needs
-    more workers, and forked anew after a worker has died; each call
-    pins each worker to a CPU (``_place``), and calls from several
-    threads take turns.  A worker that raises or dies raises
+    more workers, and forked anew after a worker has died; each worker
+    is pinned to one CPU when it is forked (``_SweepGroup``), and calls
+    from several threads take turns.  A worker that raises or dies raises
     ``RuntimeError`` here; on that or on Ctrl-C the group is stopped
     and joined.  A caller that passes ``executor`` has every share
     submitted to that pool instead.

@@ -245,15 +245,31 @@ def _class_variants(task):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 11])
 def test_block_errors_match_refits(n):
+    # every block the sweep can score: its words have the top bit clear,
+    # row 0 scores them and row 1 their complements
     for d in (1, 2, 4):
         task = generate_task(TaskSpec(m=1 + 3 * d, n=n, d=d, separation=1.0, noise_sigma=1.0, seed=10 * n + d))
         for variant in _class_variants(task):
             counts = naive_error_counts(variant, "centroid")
             evaluator = _make_evaluator("centroid", variant.pool.x, variant.trusted.x, variant.trusted.y)
-            for bits in sorted({0, 1, n // 2, n - 1, n} & set(range(_BLOCK_BITS + 1))):
-                for high in range(0, 1 << n, 1 << bits):
-                    expected = counts[high : high + (1 << bits)]
-                    assert evaluator.errors_for_block(high, bits).tolist() == expected.tolist(), (d, bits, high)
+            for bits in range(min(n, _BLOCK_BITS)):
+                for high in range(0, 1 << (n - 1), 1 << bits):
+                    words = high + np.arange(1 << bits)
+                    expected = [counts[words].tolist(), counts[(1 << n) - 1 - words].tolist()]
+                    assert evaluator._block_errors(high, bits).tolist() == expected, (d, bits, high)
+
+
+def test_distance_scratch_arrays_lie_apart_within_a_page():
+    # a few bytes past a multiple of 4 KiB from each other, a load from one
+    # array waits for each store to another (4K aliasing)
+    for m, n, d in ((1, 3, 1), (6, 12, 2), (64, 15, 4)):
+        task = generate_task(TaskSpec(m=m, n=n, d=d, separation=1.0, noise_sigma=1.0, seed=n))
+        evaluator = _make_evaluator("centroid", task.pool.x, task.trusted.x, task.trusted.y)
+        for width in (1, 3, 256, 8192):
+            centroids, dist, diff = evaluator._scratch_for(width)[:3]
+            assert [a.ctypes.data % 4096 for a in (centroids, dist, diff)] == [1024, 0, 2048], (m, n, width)
+            assert centroids.shape == (d, 2, width) and dist.shape == diff.shape
+            assert centroids.ctypes.data >= diff.ctypes.data + diff.nbytes >= dist.ctypes.data + 2 * dist.nbytes
 
 
 # --- predict ----------------------------------------------------------------

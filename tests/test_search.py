@@ -291,22 +291,36 @@ def test_parallel_calls_from_threads_take_turns_on_the_group():
     close_group_leaving_no_child()
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
-def test_large_sweeps_spread_the_workers_and_small_ones_keep_them_on_one_cpu():
-    usable = os.sched_getaffinity(0)
-    workers = min(1 << len(usable).bit_length(), search.MAX_WORKERS)  # one subcube per share
-    large = generate_task(TaskSpec(m=5, n=search._SPREAD_BITS, d=2, separation=1.0, noise_sigma=1.0, seed=2))
-    small = generate_task(TaskSpec(m=5, n=search._SPREAD_BITS - 1, d=2, separation=1.0, noise_sigma=1.0, seed=2))
-    exhaustive_search(large, "onenn", workers=workers)
-    pins = [os.sched_getaffinity(process.pid) for process, _ in search._GROUP.workers]
-    assert all(len(pin) == 1 and pin <= usable for pin in pins)
-    loads = sorted(sum(pin == {cpu} for pin in pins) for cpu in usable)
-    loads[0] += 1  # the caller's own share, on a CPU with the fewest workers
-    assert max(loads) - min(loads) <= 1
-    # a small sweep keeps every worker on the caller's CPU
-    exhaustive_search(small, "onenn", workers=workers)
-    pins = [os.sched_getaffinity(process.pid) for process, _ in search._GROUP.workers]
-    assert len(pins[0]) == 1 and pins[0] <= usable and all(pin == pins[0] for pin in pins)
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_each_worker_is_pinned_once_when_it_is_forked(monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))
+    task = generate_task(TaskSpec(m=5, n=10, d=2, separation=1.0, noise_sigma=1.0, seed=2))
+
+    def pins():
+        return [os.sched_getaffinity(process.pid) for process, _ in search._GROUP.workers]
+
+    expected = [{cpus[i % len(cpus)]} for i in range(1, 8)]
+    exhaustive_search(task, "onenn", workers=2)
+    exhaustive_search(task, "onenn", workers=8)
+    assert pins() == expected
+    pinned = []
+    real = os.sched_setaffinity
+
+    def counting(pid, mask):
+        pinned.append(pid)
+        real(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", counting)
+    for workers in (8, 3, 2):  # calls that fork no worker pin none
+        exhaustive_search(task, "centroid", workers=workers)
+    assert pinned == []
+    killed = search._GROUP.workers[2][0]
+    os.kill(killed.pid, signal.SIGKILL)
+    killed.join(timeout=30)
+    assert killed.exitcode == -signal.SIGKILL
+    exhaustive_search(task, "onenn", workers=8)  # forks the group anew
+    assert pinned == [process.pid for process, _ in search._GROUP.workers]
+    assert pins() == expected
     close_group_leaving_no_child()
 
 
