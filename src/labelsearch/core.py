@@ -21,6 +21,7 @@ import os
 import secrets
 import stat
 from dataclasses import dataclass
+from operator import lt
 from typing import Sequence
 
 import numpy as np
@@ -180,7 +181,7 @@ class SearchOutcome:
         words = self.argmin_words
         if not words:
             raise ValueError("argmin list must be nonempty")
-        if any(a >= b for a, b in zip(words, words[1:])):
+        if not all(map(lt, words, words[1:])):
             raise ValueError("argmin list must be sorted ascending by word")
         if words[0] < 0 or words[-1] >> self.n:
             raise ValueError(f"argmin words out of range for {self.n} bits")

@@ -252,6 +252,26 @@ def fit_log2_slope(ns, values) -> tuple[float, float]:
     return slope, stderr
 
 
+def fit_fixed_cost(ns, values) -> tuple[float, float]:
+    """Least-squares fit of values = a + b * 2**n on relative residuals.
+
+    Minimizes the sum of ((a + b * 2**n) / value - 1) ** 2, so a small
+    rung, where the fixed cost a shows, weighs as much as a large one,
+    where the per-labeling cost b does.  Returns (a, b).  On timings a
+    may come out negative when their noise exceeds the fixed cost.
+    """
+    xs = np.asarray(ns, dtype=np.float64)
+    ts = np.asarray(values, dtype=np.float64)
+    if np.unique(xs).size < 2:
+        raise ValueError("fixed-cost fit needs at least two distinct n values")
+    top = xs.max()
+    # b's column is scaled by 2**-top so that its entries, like a's, are at
+    # most 1 / value, which keeps the solve well conditioned for any n
+    design = np.column_stack([1.0 / ts, np.exp2(xs - top) / ts])
+    (a, scaled_b), *_ = np.linalg.lstsq(design, np.ones_like(ts), rcond=None)
+    return float(a), float(scaled_b * np.exp2(-top))
+
+
 def scaling_experiment(
     n_values,
     template: TaskSpec,
@@ -293,6 +313,7 @@ def scaling_report_csv(report: ScalingReport) -> str:
 
 
 def scaling_report_json(report: ScalingReport, template: TaskSpec, learner_kind: str) -> str:
+    fixed_cost, per_labeling = fit_fixed_cost([r.n for r in report.rows], [r.elapsed for r in report.rows])
     doc = {
         "spec": {
             "m": template.m,
@@ -315,6 +336,8 @@ def scaling_report_json(report: ScalingReport, template: TaskSpec, learner_kind:
         ],
         "slope": report.fitted_slope,
         "slope_stderr": report.slope_stderr,
+        "fixed_cost_s": fixed_cost,
+        "per_labeling_s": per_labeling,
         "workers": report.workers,
     }
     return json.dumps(doc, indent=2) + "\n"

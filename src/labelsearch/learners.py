@@ -20,8 +20,9 @@ takes summaries in any order.  The centroid evaluator sweeps in blocks
 of consecutive words, each with its mirror block of their complements;
 the one-NN evaluator walks the subcube in reflected-Gray order, so
 consecutive candidates differ in one bit and its state is updated
-instead of refit.  That
-order comes from one place, the 4095-step ruler behind
+instead of refit.  The walk applies that update to its error count,
+per-item deltas and word held in locals; the heuristics update the same
+state through ``flip`` and ``errors``.  That order comes from one place, the 4095-step ruler behind
 ``_gray_flip_blocks`` (the loopless reflected-Gray walk of Bitner,
 Ehrlich and Reingold, CACM 19(9), 1976); it is the package's only Gray
 code.
@@ -128,14 +129,16 @@ def _pairwise_squared_distances(pool_x: np.ndarray, queries: np.ndarray) -> np.n
 
 def nearest_pool_index(pool_x: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Index of each query's nearest pool item (ties -> lowest index)."""
-    nq = queries.shape[0]
-    best = np.full(nq, np.inf)
-    best_idx = np.zeros(nq, dtype=np.int64)
-    for start in range(0, pool_x.shape[0], _NN_CHUNK):
-        chunk = pool_x[start : start + _NN_CHUNK]
-        dist = _pairwise_squared_distances(chunk, queries)
+    dist = _pairwise_squared_distances(pool_x[:_NN_CHUNK], queries)
+    best_idx = np.argmin(dist, axis=1)
+    if pool_x.shape[0] <= _NN_CHUNK:
+        return best_idx
+    rows = np.arange(queries.shape[0])
+    best = dist[rows, best_idx]
+    for start in range(_NN_CHUNK, pool_x.shape[0], _NN_CHUNK):
+        dist = _pairwise_squared_distances(pool_x[start : start + _NN_CHUNK], queries)
         local = np.argmin(dist, axis=1)
-        local_best = dist[np.arange(nq), local]
+        local_best = dist[rows, local]
         better = local_best < best  # strict keeps the earliest chunk on ties
         best_idx[better] = local[better] + start
         best[better] = local_best[better]
@@ -575,14 +578,18 @@ class _OneNNEvaluator:
     then ``sum(y1) + sum over set bits i of (y0[i] - y1[i])``, so a flip
     updates it in O(1), and a batch adds one byte-table entry of summed
     gains per byte of the word.  The tallies are Python ints: numpy
-    scalars would cost more per flip than the update itself.
+    scalars would cost more per flip than the update itself.  For the
+    same reason the sweep applies ``flip``'s update to locals instead of
+    calling ``flip`` and ``errors`` per word; the heuristic walks call
+    them.
     """
 
     def __init__(self, pool_x, ax, ay):
-        nn = nearest_pool_index(pool_x, ax)
         n = pool_x.shape[0]
-        self._y0 = np.bincount(nn[ay == 0], minlength=n).tolist()
-        self._y1 = np.bincount(nn[ay == 1], minlength=n).tolist()
+        # entry 2i + c counts the class-c trusted points nearest to item i
+        tallies = np.bincount(2 * nearest_pool_index(pool_x, ax) + ay, minlength=2 * n).tolist()
+        self._y0 = tallies[0::2]
+        self._y1 = tallies[1::2]
         self.word = 0
         self._errors = 0
         self._delta: list[int] = []
@@ -626,24 +633,31 @@ class _OneNNEvaluator:
         complements tie the complements' best, which is the highest
         err(w) seen; each list starts anew when its best drops.  The
         other candidates could not change the summaries.
+
+        The walk keeps the error count, the deltas and the word in
+        locals, updating the delta list in place.  It leaves ``word`` and
+        the error count at its last word, so ``flip``, ``errors`` and
+        ``reset`` work after it as after any walk of ``flip`` calls.
         """
         trusted = self._base + sum(self._y0)
         mask = (1 << len(self._y0)) - 1
-        best = worst = self.reset(prefix_word)
-        words, complements = [prefix_word], [prefix_word]
-        flip, errors = self.flip, self.errors
+        best = worst = err = self.reset(prefix_word)
+        delta, word = self._delta, prefix_word
+        words, complements = [word], [word]
         for block in _gray_flip_blocks(low_bits):
             for i in block:
-                flip(i)
-                err = errors()
+                d = delta[i]
+                err += d
+                delta[i] = -d
+                word ^= 1 << i
                 if err <= best:
                     if err < best:
                         best, words = err, []
-                    words.append(self.word)
+                    words.append(word)
                 if err >= worst:
                     if err > worst:
                         worst, complements = err, []
-                    complements.append(self.word)
+                    complements.append(word)
             if words:
                 tracker.merge(best, len(words), np.sort(np.array(words, dtype=np.int64)))
                 words = []
@@ -651,6 +665,7 @@ class _OneNNEvaluator:
                 flipped = mask ^ np.array(complements, dtype=np.int64)
                 tracker.merge(trusted - worst, len(complements), np.sort(flipped))
                 complements = []
+        self.word, self._errors = word, err
 
 
 def _make_evaluator(kind: str, pool_x, ax, ay):

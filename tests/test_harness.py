@@ -18,7 +18,7 @@ from labelsearch import (
     self_training_baseline,
 )
 from labelsearch.core import COORD_GRID, task_to_json
-from labelsearch.harness import fit_log2_slope, scaling_report_csv, scaling_report_json, split_trusted
+from labelsearch.harness import fit_fixed_cost, fit_log2_slope, scaling_report_csv, scaling_report_json, split_trusted
 
 
 # --- task generation --------------------------------------------------------
@@ -203,6 +203,24 @@ def test_slope_fit_recovers_exact_lines():
             fit_log2_slope(ns, [1.0] * len(ns))
 
 
+@pytest.mark.parametrize("ns, fixed, per", [
+    (range(16, 25), 1.5e-3, 3e-8),    # a sweep ladder: b dominates
+    (range(2, 8), 2e-5, 3e-8),        # small rungs: a dominates
+    ([12, 20], 8e-5, 2.6e-7),         # a two-point fit
+    ([8, 12, 16, 20, 24], 0.0, 2e-7), # no fixed cost
+])
+def test_fixed_cost_fit_recovers_exact_timings(ns, fixed, per):
+    got_fixed, got_per = fit_fixed_cost(ns, [fixed + per * 2.0**n for n in ns])
+    assert got_fixed == pytest.approx(fixed, rel=1e-9, abs=1e-12)
+    assert got_per == pytest.approx(per, rel=1e-9)
+
+
+def test_fixed_cost_fit_needs_two_distinct_n():
+    for ns in ([3], [5, 5]):
+        with pytest.raises(ValueError, match="two distinct"):
+            fit_fixed_cost(ns, [1.0] * len(ns))
+
+
 def test_scaling_experiment_rows_and_determinism():
     template = TaskSpec(m=5, n=10, d=2, separation=1.5, noise_sigma=1.0, seed=20)
     first = scaling_experiment(range(6, 11), template, "centroid", workers=1)
@@ -240,7 +258,9 @@ def test_scaling_report_serializations():
     import json
 
     doc = json.loads(scaling_report_json(report, template, "onenn"))
-    assert set(doc) >= {"spec", "results", "slope"}
+    assert set(doc) >= {"spec", "results", "slope", "fixed_cost_s", "per_labeling_s"}
+    fit = fit_fixed_cost([6, 7, 8], [row["total_time"] for row in doc["results"]])
+    assert (doc["fixed_cost_s"], doc["per_labeling_s"]) == fit
     assert [row["n"] for row in doc["results"]] == [6, 7, 8]
     for row, out in zip(doc["results"], expected):
         assert (row["n"], row["evaluations"], row["best_mu"], row["argmin_count"]) == (

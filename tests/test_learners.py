@@ -417,6 +417,31 @@ def test_sweep_scores_complements_as_batch_scoring_does(name, task, kind, monkey
             assert sorted(scores) == list(enumerate(expected.tolist())), workers
 
 
+@pytest.mark.parametrize("name, task", _pairing_tasks().items())
+def test_onenn_state_after_a_sweep_matches_a_fresh_evaluator(name, task):
+    # the sweep's walk updates its own state, not through flip and errors;
+    # flip, errors, reset and batch scoring must still work after it
+    n = task.n
+    args = (task.pool.x, task.trusted.x, task.trusted.y)
+    every_word = np.arange(1 << n, dtype=np.uint64)
+    for workers in (1, 2, 5):
+        for share in search._sweep_shares(n, workers):
+            for prefix_word, low_bits in share:
+                swept = _make_evaluator("onenn", *args)
+                swept.sweep(prefix_word, low_bits, _Recorder())
+                # the walk ends on the last word of its reflected-Gray order
+                assert swept.word == prefix_word | (1 << low_bits >> 1)
+                fresh = _make_evaluator("onenn", *args)
+                assert swept.errors() == fresh.reset(swept.word)
+                for i in range(n):
+                    swept.flip(i)
+                    fresh.flip(i)
+                    assert (swept.word, swept.errors()) == (fresh.word, fresh.errors()), (prefix_word, i)
+                assert swept.errors_for_words(every_word).tolist() == fresh.errors_for_words(every_word).tolist()
+                for word in (0, prefix_word, (1 << n) - 1):
+                    assert swept.reset(word) == fresh.reset(word)
+
+
 # --- nearest-neighbor machinery ---------------------------------------------
 
 @given(small_tasks(max_n=10))
@@ -431,6 +456,19 @@ def test_nearest_tie_resolves_to_lowest_index():
     pool_x = np.array([[1.0], [1.0], [3.0]])
     queries = np.array([[1.0], [2.0]])
     assert nearest_pool_index(pool_x, queries).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+def test_nearest_pool_index_is_the_same_in_chunks(chunk, monkeypatch):
+    # pools wider than one chunk keep each query's nearest across chunks,
+    # and a tie between chunks goes to the earlier one
+    monkeypatch.setattr(learners, "_NN_CHUNK", chunk)
+    pool_x = np.array([[3.0], [1.0], [5.0], [1.0], [0.0], [3.0]])
+    queries = np.array([[1.0], [2.0], [4.0], [3.0], [6.0], [-1.0]])
+    assert nearest_pool_index(pool_x, queries).tolist() == [1, 0, 0, 0, 2, 4]
+    task = generate_task(TaskSpec(m=9, n=11, d=3, separation=1.0, noise_sigma=1.0, seed=chunk))
+    expected = brute_nearest(task.pool.x, task.trusted.x)
+    assert nearest_pool_index(task.pool.x, task.trusted.x).tolist() == list(expected)
 
 
 def test_one_nn_flip_changes_only_mapped_points():

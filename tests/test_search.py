@@ -395,6 +395,27 @@ def test_onenn_optimum_matches_the_closed_form(task):
     assert out.argmin_words[0] == smallest
 
 
+@given(small_tasks(max_n=14, max_m=8))
+def test_onenn_optimum_count_is_at_least_two_to_the_n_minus_m(task):
+    # at most m pool items are some trusted point's nearest, and either
+    # label of every other item leaves an optimum optimal
+    assert exhaustive_search(task, "onenn").argmin_count >= 2 ** (task.n - task.m)
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_onenn_ladder_tasks_match_the_closed_form_at_any_worker_count(n, seed):
+    # tasks shaped like the benchmark's one-NN ladder, where the sweep's
+    # fixed cost weighs most
+    task = generate_task(TaskSpec(m=8, n=n, d=2, separation=4.0, noise_sigma=1.0, seed=seed * 1000 + n))
+    best, k_opt, smallest = onenn_closed_form(task)
+    assert k_opt >= 2 ** (n - 8)
+    for workers in (1, 2, 3):
+        out = exhaustive_search(task, "onenn", workers=workers)
+        assert (out.best_mu, out.argmin_count, out.argmin_words[0]) == (best / 8, k_opt, smallest), workers
+        assert out.evaluations == 1 << n
+
+
 def test_exhaustive_refuses_over_cap_naming_the_cap():
     task = generate_task(TaskSpec(m=3, n=10, d=1, separation=1.0, noise_sigma=1.0, seed=0))
     with pytest.raises(ValueError, match=r"cap 8"):
