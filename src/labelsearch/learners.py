@@ -16,11 +16,12 @@ it flips one bit at a time without retraining from scratch, scores
 arrays of packed words in vectorized batches, and sweeps a subcube of
 the labeling hypercube together with the subcube of its complements,
 merging optimum summaries of the blocks it scores into a tracker that
-takes summaries in any order.  The centroid evaluator sweeps in blocks
-of consecutive words, each with its mirror block of their complements;
-the one-NN evaluator walks the subcube in reflected-Gray order, so
-consecutive candidates differ in one bit and its state is updated
-instead of refit.  The walk applies that update to its error count,
+takes summaries in any order.  The centroid evaluator sweeps in calls
+of a few blocks of 2**8 consecutive words, together with their
+complements, and forms class sums from the per-byte subset tables
+batch scoring reads; the one-NN evaluator walks the subcube in
+reflected-Gray order, so consecutive candidates differ in one bit and
+its state is updated instead of refit.  The walk applies that update to its error count,
 per-item deltas and word held in locals; the heuristics update the same
 state through ``flip`` and ``errors``.  That order comes from one place, the 4095-step ruler behind
 ``_gray_flip_blocks`` (the loopless reflected-Gray walk of Bitner,
@@ -39,14 +40,17 @@ the two agree bit-for-bit on any data.  On coordinates from the
 generator's dyadic grid (see ``core.COORD_GRID``) all sums are exact in
 float64, so flip-updated states also match refit states bit-for-bit;
 on arbitrary float data a flip-updated state and a refit agree to about
-1e-9 relative.  A sweep block forms each word's class sums as the left
-fold of its rows in ascending pool index, so on any data a word scores
-the same in whichever block it falls.
+1e-9 relative.  The sweep and batch scoring both form a word's class
+sums as its per-byte table entries added in ascending byte order, so on
+any data a word scores the same on either path and in whichever sweep
+call it falls.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, sub
 
 import numpy as np
@@ -205,59 +209,49 @@ def predict(state: LearnerState, trusted: TrustedSet) -> np.ndarray:
 #
 # A subset table holds, for every subset of a few pool rows, the sum of
 # those rows' values, each added in ascending row order onto a zero.
-# Batch scoring splits each word into bytes (byte j holds the labels of
-# pool rows 8j..8j+7) and reads one 256-entry table per byte, so the sum
-# over a word's set bits is one gather and one add per byte.  The
-# centroid sweep reads one table of the low ``_BLOCK_BITS`` rows.
+# Each word is split into bytes (byte j holds the labels of pool rows
+# 8j..8j+7) and one 256-entry table is read per byte, so the sum over a
+# word's set bits is one entry per byte, added in ascending byte order.
+# Batch scoring gathers the entries of arbitrary words.  The centroid
+# sweep reads the same tables a block at a time: the 2**8 words of a
+# block differ only in byte 0, so their sums are byte 0's whole table
+# plus one entry of each higher byte.
 
-#: Width of the centroid sweep's low-bit table, in bits: a sweep block
-#: scores 2**9 words, 2**8 consecutive words and their complements.
-#: Wider blocks cost less per word on large pools, but pools of fewer
-#: items cannot fill them, so their sweeps would spread each block's
-#: fixed cost over fewer words than larger pools do, and the time per
-#: labeling would then depend on n.
+#: Width of a centroid sweep block and its mirror block, in bits: a
+#: block is the 2**8 words of one byte-0 table, and its mirror block
+#: their complements.
 _BLOCK_BITS = 9
 
 #: Distances computed per numpy call when scoring class-sum columns:
-#: 2**14 float64 values, 128 KiB, stay in L2.
+#: 2**14 float64 values, 128 KiB, so that a sweep call of 2**11 words
+#: and their complements scores 4 trusted points per numpy call.  Its
+#: rows of 2**12 values matter more than the points per call: numpy
+#: broadcasts a point's coordinate over rows of 2**11 values or fewer at
+#: about four times the cost per value.  A budget of 2**16, 16 points
+#: per call, scored 15-20% faster per labeling but bent the benchmark's
+#: 1-worker curve: in processes where Python and numpy dispatch ran slow,
+#: the per-call fixed cost grew and the per-labeling cost did not.
 _SCORE_CELLS = 1 << 14
 
 
-def _subset_sums(rows: np.ndarray) -> np.ndarray:
-    """(..., columns, 2**b) subset sums of (..., b, columns) rows: entry
-    s sums the rows of the set bits of s, added in ascending bit order
+def _byte_subset_sums(rows: np.ndarray, tables: np.ndarray) -> None:
+    """Write into ``tables`` (256, bytes, columns), whose entry 0 is
+    zero, the subset sums of the (bytes, 8, columns) pool rows of each
+    byte of the word, with zero rows past the pool: entry s of byte j
+    sums the byte's rows i of the set bits i of s, added in ascending i
     onto a zero."""
-    *lead, bits, width = rows.shape
-    tables = np.empty((*lead, width, 1 << bits), dtype=rows.dtype)
-    tables[..., 0] = 0
-    for b in range(bits):
-        np.add(tables[..., : 1 << b], rows[..., b, :, None], out=tables[..., 1 << b : 2 << b])
-    return tables
+    for b in range(8):
+        np.add(tables[: 1 << b], rows[:, b], out=tables[1 << b : 2 << b])
 
 
-def _byte_subset_sums(values: np.ndarray) -> np.ndarray:
-    """(bytes, columns, 256) subset sums of the (n, columns) per-row
-    values, one table per byte of the word.  Rows past n count as zeros."""
-    n, width = values.shape
-    nbytes = -(-n // 8)
-    rows = np.zeros((nbytes * 8, width), dtype=values.dtype)
-    rows[:n] = values
-    return _subset_sums(rows.reshape(nbytes, 8, width))
-
-
-def _sum_byte_tables(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """(columns, len(words)) sums of each word's byte-table entries,
-    added in ascending byte order."""
-    nbytes, width, _ = tables.shape
-    index = np.empty((nbytes, words.shape[0]), dtype=np.intp)
+def _sum_byte_tables(tables: np.ndarray, words: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` (columns, len(words)) the sums of each word's
+    entries of the (bytes, columns, 256) tables, added in ascending byte
+    order."""
     octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    np.copyto(index, octets[:, :nbytes].T)
-    acc = np.empty((width, words.shape[0]), dtype=tables.dtype)
-    for k in range(width):
-        acc[k] = tables[0, k][index[0]]
-        for j in range(1, nbytes):
-            acc[k] += tables[j, k][index[j]]
-    return acc
+    np.take(tables[0], octets[:, 0], axis=1, out=out, mode="clip")  # "clip" writes to out unbuffered
+    for j in range(1, tables.shape[0]):
+        out += np.take(tables[j], octets[:, j], axis=1, mode="clip")
 
 
 def _column_distances(columns: np.ndarray, point, acc: np.ndarray, diff: np.ndarray) -> None:
@@ -275,12 +269,84 @@ def _column_distances(columns: np.ndarray, point, acc: np.ndarray, diff: np.ndar
         np.add(acc, diff, out=acc)
 
 
-def _page_view(buffer: np.ndarray, start: int, size: int, offset: int) -> tuple[np.ndarray, int]:
-    """``size`` values of ``buffer`` from its first index at or after
-    ``start`` whose address is ``offset`` bytes past a multiple of 4 KiB,
-    and the index after them."""
-    start += (offset - buffer.ctypes.data - start * buffer.itemsize) % 4096 // buffer.itemsize
-    return buffer[start : start + size], start + size
+class _ScoringBuffer(threading.local):
+    """One float64 buffer per thread, from which every centroid scoring
+    call of the thread cuts its arrays, and the arrays cut from it so
+    far, by shape.  The buffer grows to the largest call's need and is
+    never shrunk, so that after a thread's first calls no scoring call
+    allocates its arrays or faults in their pages, whatever the task and
+    the call's width.  A forked process keeps its own copy."""
+
+    def __init__(self):
+        self.values = np.empty(0)
+        self.cuts = {}
+
+
+_SCORING = _ScoringBuffer()
+
+#: Page offsets of the scoring arrays, in bytes past a multiple of 4 KiB,
+#: in the order ``_scoring_arrays`` cuts them.  Each pair of arrays that
+#: one numpy call reads and writes lies at least 512 bytes apart within
+#: a page: an array a few bytes past a multiple of 4 KiB from another
+#: makes each load from it wait for the stores to the other (4K
+#: aliasing), and as separate heap blocks their offsets, and so the
+#: sweep's speed, would follow the heap's earlier history.
+_PAGE_OFFSETS = (1024, 0, 2048, 3072, 512)
+
+#: Shapes whose arrays a thread keeps cut, at most.
+_KEPT_CUTS = 32
+
+
+def _scoring_arrays(coords: int, points: int, width: int) -> tuple:
+    """Arrays for scoring ``width`` candidates and their complements
+    against ``points`` trusted points in ``coords`` dimensions, cut from
+    this thread's scoring buffer: class sums with the class sizes in the
+    last row, which the scoring divides into centroids in place;
+    distances and their scratch space for as many points as keep about
+    ``_SCORE_CELLS`` distances, and at most 255, so that a byte counts
+    their misses; the distances by class and with the classes swapped;
+    missed-point flags, which overwrite the scratch space; their counts;
+    and error counts.  Their values last until the thread's next
+    scoring call."""
+    rows = min(max(1, _SCORE_CELLS // (2 * width)), points, 255)
+    scoring = _SCORING
+    arrays = scoring.cuts.get((coords, rows, width))
+    if arrays is not None:
+        return arrays
+    cells = rows * 2 * width
+    sizes = ((coords + 1) * 2 * width, cells, cells, 2 * width, -(-width // 4))
+    need = sum(sizes) + 512 * len(sizes)
+    if scoring.values.size < need:
+        scoring.values, scoring.cuts = np.empty(need), {}
+    elif len(scoring.cuts) == _KEPT_CUTS:
+        scoring.cuts.clear()
+    values = scoring.values
+    address, start, cut = values.ctypes.data, 0, []
+    for size, offset in zip(sizes, _PAGE_OFFSETS):
+        start += (offset - address - 8 * start) % 4096 // 8
+        cut.append(values[start : start + size])
+        start += size
+    sums, dist, diff, wrong, counted = cut
+    by_class = dist.reshape(rows, 2, width)  # per trusted point, [d0, d1] ...
+    arrays = (sums.reshape(coords + 1, 2, width), dist.reshape(rows, 2 * width), diff.reshape(rows, 2 * width),
+              by_class, by_class[:, ::-1],  # ... beside [d1, d0]
+              diff.view(bool)[:cells].reshape(rows, 2, width), counted.view(np.uint8)[: 2 * width].reshape(2, width),
+              wrong.view(np.int64).reshape(2, width))
+    scoring.cuts[coords, rows, width] = arrays
+    return arrays
+
+
+def _sweep_call_bits(points: int) -> int:
+    """Width in bits of the centroid sweep's scoring calls: K
+    consecutive blocks of 2**8 words each, K the smallest power of two
+    at or above ``points`` / 8, at most 8.
+
+    A call's numpy dispatch is spread over its K blocks.  At a few
+    trusted points a block scores fast, and a pool too small to fill K
+    blocks per call would pay more per word than larger pools do, so
+    the time per labeling would fall with n; at many points scoring
+    outweighs dispatch, and long rows cost less per word."""
+    return _BLOCK_BITS - 1 + min(3, ((points - 1) // 8).bit_length())
 
 
 # --- evaluators -------------------------------------------------------------
@@ -298,35 +364,37 @@ def _page_view(buffer: np.ndarray, start: int, size: int, offset: int) -> tuple[
 # complement ~w of a word w puts every pool item in the other class, so
 # its class sums are w's swapped and one set of class sums or tallies
 # scores both words.  It calls ``tracker.merge(best, count, words)`` for
-# the words it scores, a block at a time, with the block's best error,
+# the words it scores, a part at a time, with the part's best error,
 # the exact count of its words that reach it and those words in
-# ascending order (all of them: the tracker keeps the smallest).  Blocks
-# may report in any order.  The centroid evaluator reports a block of
-# consecutive words and its mirror block of their complements as one,
-# the one-NN evaluator each block of its Gray walk and, apart, the
+# ascending order (all of them: the tracker keeps the smallest).  Parts
+# may report in any order.  The centroid evaluator reports each scoring
+# call's consecutive words and their complements as one part, the
+# one-NN evaluator each block of its Gray walk and, apart, the
 # complements of its words.  The exhaustive search calls only ``sweep``,
 # so how a learner walks a subcube is decided here.
 
 
 def _merge_pair(tracker, high: int, mirror: int, wrong: np.ndarray) -> None:
     """Merge into ``tracker``, unless its best is above the tracker's,
-    the summary of a block and its mirror block: the words ``high + s``
-    with errors ``wrong[0, s]`` and their complements ``mirror + (width
-    - 1 - s)`` with errors ``wrong[1, s]``."""
+    the summary of a run of consecutive words and the run of their
+    complements: the words ``high + s`` with errors ``wrong[0, s]`` and
+    their complements ``mirror + (width - 1 - s)`` with errors
+    ``wrong[1, s]``."""
     low = int(wrong.min())
     if low <= tracker.best:
-        hits = np.flatnonzero(wrong == low)
+        words = (wrong.reshape(-1) == low).nonzero()[0]
         width = wrong.shape[1]
-        split = int(np.searchsorted(hits, width))
-        # the block's words have the top bit clear and the mirror block's
-        # have it set, so the block's come first
-        words = np.concatenate((hits[:split] + high, (mirror + 2 * width - 1) - hits[split:][::-1]))
-        tracker.merge(low, hits.size, words)
+        split = int(words.searchsorted(width))
+        # the run's words have the top bit clear and their complements
+        # have it set, so the run's come first
+        words[:split] += high
+        words[split:] = (mirror + 2 * width - 1) - words[split:][::-1]
+        tracker.merge(low, words.size, words)
 
 
 class _CentroidEvaluator:
     """Centroid learner driven by single-bit flips, word batches or
-    sweep blocks.
+    sweep calls.
 
     Every path predicts with the arithmetic of ``centroid_predictions``
     and ``squared_distances``, as the public learner does, so they match
@@ -337,43 +405,59 @@ class _CentroidEvaluator:
     where numpy rows of length d would cost more per call than the
     arithmetic.  ``errors`` divides the sums in Python and does the same
     IEEE operations, in the same order, on contiguous trusted columns.
+    The build makes only what the sweep reads; the single-flip path
+    makes its rows and columns when it first needs them.
 
-    The batch and block paths form class-sum columns for many words at
-    once and score them in ``_errors_of_sums``: no bit matrix and no
-    BLAS call.  A batch gathers each word's class sums and class-1 count
-    from per-byte subset tables.  A sweep block takes the 2**bits words
-    that share their bits from ``bits`` up; it copies a subset table of
-    the low rows and adds each high row to the whole copy, in ascending
-    row order, so each word's class sums are the left folds of its rows
-    in ascending index order, whatever the block.  The same class sums,
-    swapped, are those of the block's complements, so the sweep scores
-    each block together with its mirror block from the one set of
-    distances.
+    The batch and sweep paths form class-sum columns for many words at
+    once from one set of per-byte subset tables, adding each word's
+    entries in ascending byte order, and score them in
+    ``_errors_of_sums``: no bit matrix and no BLAS call.  So a word's
+    class sums are the same whether a batch or a sweep forms them.  A
+    batch gathers each word's entries.  A sweep call takes K
+    consecutive blocks of 2**8 words (``_sweep_call_bits``): each block
+    is byte 0's table plus the higher bytes' entries of the block.  The
+    same class sums, swapped, are those of the words' complements, so
+    the sweep scores each call's words together with their complements
+    from the one set of distances.
     """
 
     def __init__(self, pool_x, ax, ay):
         self.pool_x = pool_x
+        self._ax = ax
+        self._ay = ay
         self.word = 0
         self.sums = None
         self.counts = [0, 0]
-        self._rows = [tuple(row) for row in pool_x.tolist()]
-        # each pool row with a 1 after it, which counts it in its class
-        counted = np.column_stack([pool_x, np.ones(pool_x.shape[0])])
-        self._row_columns = list(counted[:, :, None])
-        self._columns = [np.ascontiguousarray(ax[:, k]) for k in range(ax.shape[1])]
-        self._is_one = ay == 1
         # coordinate k of trusted point j at [k, j, 0], class-0 points first
-        self._point_columns = np.ascontiguousarray(ax[np.argsort(ay, kind="stable")].T)[:, :, None]
-        self._errors_y0 = int(np.count_nonzero(ay == 0))
-        self._errors_y1 = ay.shape[0] - self._errors_y0
-        self._byte_tables = None
-        # rows 0..d-1 the sums and row d the count of every subset of the
-        # low rows, for blocks of up to 2**_BLOCK_BITS words
-        self._block_table = _subset_sums(counted[:_BLOCK_BITS])
-        # scratch arrays for the widest sweep block of this pool, made
-        # here once instead of in the sweep
-        self._scratch_width, self._scratch = 0, ()
-        self._scratch_for(1 << min(pool_x.shape[0] - 1, _BLOCK_BITS - 1))
+        self._point_columns = ax.take(ay.argsort(kind="stable"), axis=0).T[:, :, None]
+        self._errors_y1 = int(np.count_nonzero(ay))
+        self._errors_y0 = ay.shape[0] - self._errors_y1
+        # per byte of the word and byte value b, the sum of coordinate k
+        # of the byte's class-0 rows at [k, 0, b] and of its class-1 rows
+        # at [k, 1, b], and the class sizes at [d, :, b]: the class-0 rows
+        # of b are the class-1 rows of 255 - b
+        n, d = pool_x.shape
+        rows = np.zeros((-(-n // 8) * 8, d + 1))
+        rows[:n, :d] = pool_x
+        rows[:n, d] = 1
+        ones = np.zeros((256, rows.shape[0] // 8, d + 1))
+        _byte_subset_sums(rows.reshape(-1, 8, d + 1), ones)
+        self._tables = np.empty((ones.shape[1], d + 1, 2, 256))
+        self._tables[:, :, 0] = ones[::-1].transpose(1, 2, 0)
+        self._tables[:, :, 1] = ones.transpose(1, 2, 0)
+        self._call_bits = _sweep_call_bits(ay.shape[0])
+
+    @cached_property
+    def _rows(self) -> list:
+        return [tuple(row) for row in self.pool_x.tolist()]
+
+    @cached_property
+    def _columns(self) -> list:
+        return [np.ascontiguousarray(self._ax[:, k]) for k in range(self._ax.shape[1])]
+
+    @cached_property
+    def _is_one(self) -> np.ndarray:
+        return self._ay == 1
 
     def reset(self, word: int) -> int:
         self.word = word
@@ -414,56 +498,34 @@ class _CentroidEvaluator:
         d1 = self._distances(self.sums[1], n1)
         return int(np.count_nonzero((d1 < d0) != self._is_one))  # tie -> class 0
 
-    def _scratch_for(self, width: int) -> tuple:
-        """Centroid columns, distances, their scratch space and
-        missed-point flags for scoring ``width`` candidates and their
-        complements; a sweep's blocks share one set."""
-        if width != self._scratch_width:
-            coords = self._point_columns.shape[0]
-            rows = min(max(1, _SCORE_CELLS // (2 * width)), self._point_columns.shape[1])
-            cells = rows * 2 * width
-            # One buffer holds the distances, their scratch space and the
-            # centroids, 0, 2 and 1 KiB past a multiple of 4 KiB.  Apart,
-            # the heap may put one a few bytes past a multiple of 4 KiB from
-            # another, and a load from it then waits for each store to the
-            # other (4K aliasing), so that a sweep's speed would depend on
-            # the heap's earlier history.
-            buffer = np.empty(2 * cells + coords * 2 * width + 3 * 512)
-            dist, end = _page_view(buffer, 0, cells, 0)
-            diff, end = _page_view(buffer, end, cells, 2048)
-            centroids, _ = _page_view(buffer, end, coords * 2 * width, 1024)
-            # per trusted point, [d0, d1] beside [d1, d0]
-            by_class = dist.reshape(rows, 2, width)
-            miss = np.empty((rows, 2, width), dtype=bool)
-            self._scratch = (centroids.reshape(coords, 2, width), dist.reshape(rows, 2 * width),
-                             diff.reshape(rows, 2 * width), by_class, by_class[:, ::-1], miss)
-            self._scratch_width = width
-        return self._scratch
-
-    def _errors_of_sums(self, sums: np.ndarray, counts: np.ndarray, pairs: bool = False) -> np.ndarray:
-        """Error counts of candidate labelings given as class-sum columns,
-        in row 0 of a (1, candidates) array, or with ``pairs`` in row 0
-        of a (2, candidates) array whose row 1 holds the error counts of
-        the candidates' complements.
+    def _errors_of_sums(self, arrays: tuple, tests: int) -> np.ndarray:
+        """Error counts of candidate labelings given as the class-sum
+        columns of ``arrays``, in row 0 of its error counts, and with
+        ``tests`` = 2 those of the candidates' complements in row 1.  The
+        counts are valid until the thread's next scoring call.
 
         ``sums[k, c, j]`` is coordinate k of class c's sum for candidate
-        j and ``counts[c, j]`` the size of class c, as a positive float:
-        a caller gives an empty class any count and overwrites the
-        candidate's errors.  The sums are divided into centroid columns
-        and scored with the operations of ``squared_distances``: both
+        j and ``sums[d, c, j]`` the size of class c, as a positive float:
+        a caller gives an empty class any size and overwrites the
+        candidate's errors.  The sums are divided, in place, into
+        centroid columns and scored with the operations of
+        ``squared_distances``: both
         classes at once, for as many trusted points per numpy call as
         keep about ``_SCORE_CELLS`` distances.  A complement's class
         sums are its candidate's swapped, so its distances are too: a
         candidate predicts class 1 where d1 < d0, its complement where
         d0 < d1, and a tie predicts class 0 under both.
         """
-        width = counts.shape[1]
-        centroids, dist, diff, ours, theirs, miss = self._scratch_for(width)
-        np.divide(sums, counts, out=centroids)
-        centroids = centroids.reshape(sums.shape[0], 2 * width)
-        tests = 2 if pairs else 1
+        sums, dist, diff, ours, theirs, miss, counted, wrong = arrays
+        width = sums.shape[-1]
+        # rows of 2 * width values: numpy broadcasts a row over shorter
+        # rows at several times the cost per value
+        columns = sums.reshape(-1, 2 * width)
+        centroids = columns[:-1]
+        np.divide(centroids, columns[-1], out=centroids)
         rows = dist.shape[0]
-        wrong = np.zeros((tests, width), dtype=np.int64)
+        wrong = wrong[:tests]
+        wrong.fill(0)
         for start in range(0, self._point_columns.shape[1], rows):
             points = self._point_columns[:, start : start + rows]
             r = points.shape[1]
@@ -480,73 +542,72 @@ class _CentroidEvaluator:
             if r == 1:
                 wrong += miss[0, :tests]
             else:
-                wrong += np.add.reduce(miss[:r, :tests].view(np.uint8), axis=0, dtype=np.int32)
+                np.add.reduce(miss[:r, :tests].view(np.uint8), axis=0, out=counted[:tests])
+                wrong += counted[:tests]
         return wrong
 
     def errors_for_words(self, words: np.ndarray) -> np.ndarray:
-        n, d = self.pool_x.shape
-        if self._byte_tables is None:
-            # rows 2k and 2k + 1 the class-0 and class-1 sums of coordinate
-            # k, row 2d the class-1 count, for every byte value of every
-            # byte of the word
-            ones = _byte_subset_sums(np.column_stack([self.pool_x, np.ones(n)]))
-            tables = np.empty((ones.shape[0], 2 * d + 1, 256))
-            tables[:, 0 : 2 * d : 2] = ones[:, :d, ::-1]
-            tables[:, 1 : 2 * d : 2] = ones[:, :d]
-            tables[:, 2 * d] = ones[:, d]
-            self._byte_tables = tables
-        sums = _sum_byte_tables(self._byte_tables, words)
-        counts = np.empty((2, words.shape[0]))
-        counts[1] = sums[2 * d]
-        np.subtract(n, counts[1], out=counts[0])
+        arrays = _scoring_arrays(*self._point_columns.shape[:2], words.shape[0])
+        sums = arrays[0]
+        _sum_byte_tables(self._tables.reshape(self._tables.shape[0], -1, 256), words,
+                         sums.reshape(-1, words.shape[0]))
+        counts = sums[-1]
         # a labeling with an empty class predicts the nonempty class
         empty = counts == 0
         np.maximum(counts, 1, out=counts)
-        wrong = self._errors_of_sums(sums[: 2 * d].reshape(d, 2, -1), counts)[0]
+        wrong = self._errors_of_sums(arrays, 1)[0].copy()
         wrong[empty[1]] = self._errors_y1
         wrong[empty[0]] = self._errors_y0
         return wrong
 
-    def _block_errors(self, high: int, bits: int) -> np.ndarray:
-        """Error counts of the 2**bits words ``high + s`` in ascending s,
-        in row 0, and of their complements, in row 1; ``high`` has no set
-        bit below ``bits`` and the block's words have the top bit clear.
-        Word 0, the only one of them with an empty class, predicts class
-        0 everywhere and its complement class 1."""
-        sums, counts = self._block_sums(high, bits)
+    def _block_sums(self, high: int, sums: np.ndarray) -> None:
+        """Write into ``sums`` (d + 1, 2, width) the class sums and, in
+        row d, the class sizes of the words ``high + s`` in ascending s,
+        one or more whole blocks, or part of one, that differ only in
+        their low bits: byte 0's table entries of the words plus the
+        entries of each higher byte, in ascending byte order."""
+        tables = self._tables
+        width = sums.shape[-1]
+        blocks = max(1, width >> 8)
+        low = high & 255
+        # one block of consecutive byte-0 entries per byte-1 value
+        by_block = sums.reshape(sums.shape[0], 2, blocks, width // blocks)
+        first = tables[0, :, :, None, low : low + width // blocks]
+        if tables.shape[0] > 1:
+            byte = (high >> 8) & 255
+            np.add(first, tables[1, :, :, byte : byte + blocks, None], out=by_block)
+        else:
+            np.copyto(by_block, first)
+        for j in range(2, tables.shape[0]):
+            sums += tables[j, :, :, (high >> 8 * j) & 255, None]
+
+    def _block_errors(self, high: int, width: int) -> np.ndarray:
+        """Error counts of the ``width`` words ``high + s`` in ascending
+        s, in row 0, and of their complements, in row 1; ``high`` is a
+        multiple of ``width``, a power of two, and the words have the top
+        bit clear.  Word 0, the only one of them with an empty class,
+        predicts class 0 everywhere and its complement class 1."""
+        arrays = _scoring_arrays(*self._point_columns.shape[:2], width)
+        sums = arrays[0]
+        self._block_sums(high, sums)
         if high == 0:
-            counts[1, 0] = 1
-        wrong = self._errors_of_sums(sums, counts, pairs=True)
+            sums[-1, 1, 0] = 1
+        wrong = self._errors_of_sums(arrays, 2)
         if high == 0:
             wrong[:, 0] = self._errors_y1, self._errors_y0
         return wrong
 
     def sweep(self, prefix_word: int, low_bits: int, tracker) -> None:
         """Score the words that share ``prefix_word``'s bits from
-        ``low_bits`` up, whose top bit is clear, in blocks of up to
-        2**(``_BLOCK_BITS`` - 1) consecutive words, each with its mirror
-        block of their complements, and merge each pair's summary into
-        ``tracker`` unless its best is above the tracker's."""
-        bits = min(low_bits, _BLOCK_BITS - 1)
+        ``low_bits`` up, whose top bit is clear, in calls of up to
+        2**``_call_bits`` consecutive words, each with their complements,
+        and merge each call's summary into ``tracker`` unless its best is
+        above the tracker's."""
+        bits = min(low_bits, self._call_bits)
         # the complement of high + s is mirror - high + (2**bits - 1 - s)
-        mirror = (1 << len(self._rows)) - (1 << bits)
+        mirror = (1 << self.pool_x.shape[0]) - (1 << bits)
         for high in range(prefix_word, prefix_word + (1 << low_bits), 1 << bits):
-            _merge_pair(tracker, high, mirror - high, self._block_errors(high, bits))
-
-    def _block_sums(self, high: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
-        """Class sums (d, 2, 2**bits) and class counts (2, 2**bits) of the
-        2**bits words ``high + s`` in ascending s, laid out as
-        ``_errors_of_sums`` takes them.  The counts are one more column
-        of the same folds, a 1 for each row."""
-        table = self._block_table[:, : 1 << bits]
-        sums = np.empty((table.shape[0], 2, 1 << bits))
-        by_class = (sums[:, 0], sums[:, 1])
-        np.copyto(by_class[0], table[:, ::-1])  # the clear bits of s are the set bits of its complement
-        np.copyto(by_class[1], table)
-        for i in range(bits, len(self._rows)):
-            bit = (high >> i) & 1
-            np.add(by_class[bit], self._row_columns[i], out=by_class[bit])
-        return sums[:-1], sums[-1]
+            _merge_pair(tracker, high, mirror - high, self._block_errors(high, 1 << bits))
 
 
 # --- Gray-code enumeration --------------------------------------------------
@@ -617,9 +678,14 @@ class _OneNNEvaluator:
     def errors_for_words(self, words: np.ndarray) -> np.ndarray:
         if self._tables is None:
             # the summed change from setting the bits of each byte value
-            gains = np.subtract(self._y0, self._y1, dtype=np.int64)
-            self._tables = _byte_subset_sums(gains[:, None])
-        return self._base + _sum_byte_tables(self._tables, words)[0]
+            n = len(self._y0)
+            gains = np.zeros((-(-n // 8) * 8, 1), dtype=np.int64)
+            gains[:n, 0] = np.subtract(self._y0, self._y1)
+            self._tables = np.zeros((gains.shape[0] // 8, 1, 256), dtype=np.int64)
+            _byte_subset_sums(gains.reshape(-1, 8, 1), self._tables.transpose(2, 0, 1))
+        gains = np.empty((1, words.shape[0]), dtype=np.int64)
+        _sum_byte_tables(self._tables, words, gains)
+        return self._base + gains[0]
 
     def sweep(self, prefix_word: int, low_bits: int, tracker) -> None:
         """Walk the words that share ``prefix_word``'s bits from

@@ -64,6 +64,9 @@ HEURISTIC_KINDS = ("random", "greedy-flip", "anneal")
 
 # --- optimum tracking -------------------------------------------------------
 
+_NO_WORDS = np.empty(0, dtype=np.int64)
+
+
 class _SmallestTracker:
     """Fold optimum summaries into one, in whatever order they arrive.
 
@@ -78,7 +81,7 @@ class _SmallestTracker:
     def __init__(self):
         self.best = math.inf  # the summary of no words
         self.count = 0
-        self.words = np.empty(0, dtype=np.int64)
+        self.words = _NO_WORDS
 
     def merge(self, best: int, count: int, words: np.ndarray) -> None:
         if best < self.best:

@@ -204,34 +204,61 @@ def _off_grid_pool(rng, n, d):
     return rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
 
 
-def _left_fold(rows):
-    total = [0.0] * len(rows[0]) if rows else None
-    for row in rows:
-        total = [t + v for t, v in zip(total, row)]
-    return total
+def _byte_fold(rows, word):
+    """Class sums and sizes of ``word`` as batch scoring forms them, in
+    plain Python: per byte, the byte's rows of each class added in
+    ascending index onto a zero; then the bytes' sums added in ascending
+    byte order.  Rows past the pool count as zeros."""
+    width = len(rows[0]) + 1
+    padded = [row + [1.0] for row in rows] + [[0.0] * width] * (-len(rows) % 8)
+    folds = [[0.0] * width, [0.0] * width]
+    for first in range(0, len(padded), 8):
+        part = [[0.0] * width, [0.0] * width]
+        for i in range(first, first + 8):
+            cls = (word >> i) & 1
+            part[cls] = [t + v for t, v in zip(part[cls], padded[i])]
+        folds = [[t + v for t, v in zip(fold, p)] for fold, p in zip(folds, part)] if first else part
+    return folds
 
 
-@pytest.mark.parametrize("n, bits", [(1, 0), (1, 1), (5, 0), (5, 2), (9, 5), (9, 9), (16, 8), (20, 9)])
-def test_block_class_sums_are_ascending_left_folds(n, bits):
-    # every word's class sums are its rows added one at a time in
-    # ascending pool index onto a zero, whichever block it falls in
-    rng = np.random.default_rng(100 * n + bits)
-    for d in (1, 3):
-        pool_x = _off_grid_pool(rng, n, d)
-        rows = pool_x.tolist()
-        evaluator = _make_evaluator("centroid", pool_x, rng.standard_normal((2, d)), np.array([0, 1], dtype=np.int8))
-        highs = rng.integers(0, 1 << (n - bits), size=4) << bits if n > bits else [0]
-        for high in [0, ((1 << n) - 1) >> bits << bits, *highs]:
-            sums, counts = evaluator._block_sums(int(high), bits)
-            for s in sorted({0, (1 << bits) - 1, *rng.integers(0, 1 << bits, size=64).tolist()}):
-                word = int(high) + s
-                for cls in (0, 1):
-                    members = [row for i, row in enumerate(rows) if (word >> i) & 1 == cls]
-                    assert counts[cls, s] == len(members)
-                    if members:
-                        assert sums[:, cls, s].tolist() == _left_fold(members)
-                    else:
-                        assert not sums[:, cls, s].any()
+@pytest.mark.parametrize("n, workers", [(1, 1), (3, 8), (5, 5), (8, 3), (10, 1), (12, 3), (17, 2), (20, 1)])
+def test_sweep_class_sums_equal_batch_byte_sums(n, workers):
+    # each sweep call forms its words' class sums and sizes as batch
+    # scoring does, bit for bit, on grid and on off-grid pools; the calls
+    # take 1, 2, 4 and 8 blocks at 1, 12, 24 and 64 trusted points, fewer
+    # where a job is smaller, and small pools at many workers have jobs
+    # whose prefix sets bits inside byte 0
+    rng = np.random.default_rng(100 * n + workers)
+    for d, m in ((1, 1), (3, 12), (2, 24), (2, 64)):
+        grid = generate_task(TaskSpec(m=m, n=n, d=d, separation=1.0, noise_sigma=1.0, seed=n))
+        for pool_x in (grid.pool.x, grid.pool.x + rng.uniform(-1e-3, 1e-3, size=grid.pool.x.shape),
+                       _off_grid_pool(rng, n, d)):
+            evaluator = _make_evaluator("centroid", pool_x, grid.trusted.x, grid.trusted.y)
+            assert evaluator._call_bits == 8 + {1: 0, 12: 1, 24: 2, 64: 3}[m]
+            tables = evaluator._tables.reshape(evaluator._tables.shape[0], -1, 256)
+            calls = []
+            real_block_sums = evaluator._block_sums
+
+            def recording_block_sums(high, sums):
+                real_block_sums(high, sums)
+                calls.append((high, sums.copy()))
+
+            evaluator._block_sums = recording_block_sums
+            for share in search._sweep_shares(n, workers):
+                for prefix_word, low_bits in share:
+                    evaluator.sweep(prefix_word, low_bits, _Recorder())
+            scored = []
+            rows = pool_x.tolist()
+            for high, sums in calls:
+                words = high + np.arange(sums.shape[-1], dtype=np.uint64)
+                expected = np.empty((tables.shape[1], words.size))
+                learners._sum_byte_tables(tables, words, expected)
+                assert sums.tobytes() == expected.tobytes(), (d, m, high)
+                for s in {0, words.size - 1, *rng.integers(0, words.size, size=4).tolist()}:
+                    assert sums[:, :, s].T.tolist() == _byte_fold(rows, high + s), (d, m, high + s)
+                scored.append(words)
+            # the calls score each word whose top bit is clear once
+            assert np.sort(np.concatenate(scored)).tolist() == list(range(1 << (n - 1)))
 
 
 def _class_variants(task):
@@ -243,33 +270,40 @@ def _class_variants(task):
     ]
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 11])
+@pytest.mark.parametrize("n", [1, 2, 7, 11, 12])
 def test_block_errors_match_refits(n):
-    # every block the sweep can score: its words have the top bit clear,
-    # row 0 scores them and row 1 their complements
+    # every call the sweep can make: one to eight blocks of 2**8 words or
+    # part of one block, whose words have the top bit clear; row 0 scores
+    # them and row 1 their complements
     for d in (1, 2, 4):
         task = generate_task(TaskSpec(m=1 + 3 * d, n=n, d=d, separation=1.0, noise_sigma=1.0, seed=10 * n + d))
         for variant in _class_variants(task):
             counts = naive_error_counts(variant, "centroid")
             evaluator = _make_evaluator("centroid", variant.pool.x, variant.trusted.x, variant.trusted.y)
-            for bits in range(min(n, _BLOCK_BITS)):
+            for bits in range(min(n, _BLOCK_BITS + 3)):
                 for high in range(0, 1 << (n - 1), 1 << bits):
                     words = high + np.arange(1 << bits)
                     expected = [counts[words].tolist(), counts[(1 << n) - 1 - words].tolist()]
-                    assert evaluator._block_errors(high, bits).tolist() == expected, (d, bits, high)
+                    assert evaluator._block_errors(high, 1 << bits).tolist() == expected, (d, bits, high)
 
 
 def test_distance_scratch_arrays_lie_apart_within_a_page():
     # a few bytes past a multiple of 4 KiB from each other, a load from one
     # array waits for each store to another (4K aliasing)
-    for m, n, d in ((1, 3, 1), (6, 12, 2), (64, 15, 4)):
-        task = generate_task(TaskSpec(m=m, n=n, d=d, separation=1.0, noise_sigma=1.0, seed=n))
-        evaluator = _make_evaluator("centroid", task.pool.x, task.trusted.x, task.trusted.y)
-        for width in (1, 3, 256, 8192):
-            centroids, dist, diff = evaluator._scratch_for(width)[:3]
-            assert [a.ctypes.data % 4096 for a in (centroids, dist, diff)] == [1024, 0, 2048], (m, n, width)
-            assert centroids.shape == (d, 2, width) and dist.shape == diff.shape
-            assert centroids.ctypes.data >= diff.ctypes.data + diff.nbytes >= dist.ctypes.data + 2 * dist.nbytes
+    for m, d in ((1, 1), (6, 2), (64, 4), (1000, 2)):
+        for width in (1, 3, 256, 2048, 8192):
+            sums, dist, diff, _, _, miss, counted, wrong = learners._scoring_arrays(d, m, width)
+            cut = (sums, dist, diff, wrong, counted)
+            assert [a.ctypes.data % 4096 for a in cut] == list(learners._PAGE_OFFSETS), (m, d, width)
+            rows = min(m, max(1, learners._SCORE_CELLS // (2 * width)), 255)
+            assert sums.shape == (d + 1, 2, width) and dist.shape == diff.shape == (rows, 2 * width)
+            assert miss.shape == (rows, 2, width) and miss.ctypes.data == diff.ctypes.data
+            assert counted.shape == wrong.shape == (2, width)
+            # in order, apart, inside the thread's buffer
+            ends = [(a.ctypes.data, a.ctypes.data + a.nbytes) for a in cut]
+            assert all(end <= start for (_, end), (start, _) in zip(ends, ends[1:]))
+            values = learners._SCORING.values
+            assert values.ctypes.data <= ends[0][0] and ends[-1][1] <= values.ctypes.data + values.nbytes
 
 
 # --- predict ----------------------------------------------------------------
@@ -353,13 +387,14 @@ def test_label_swap_symmetry_at_a_centroid_tie():
 
 # --- complement pairing -----------------------------------------------------
 
-def _pairing_tasks():
-    """The tie task, and grid and jittered tasks of one and of several
-    centroid sweep blocks."""
+def _pairing_tasks(*sizes):
+    """The tie task, and grid and jittered tasks of part of one centroid
+    sweep call and of several calls, and of pools of the given sizes.
+    Forty trusted points make each call of the sweep eight blocks wide."""
     rng = np.random.default_rng(21)
     tasks = {"tie": _tie_task()}
-    for n in (_BLOCK_BITS - 2, _BLOCK_BITS + 2):
-        task = generate_task(TaskSpec(m=6, n=n, d=2, separation=1.0, noise_sigma=1.0, seed=n))
+    for n in (_BLOCK_BITS - 2, _BLOCK_BITS + 2, *sizes):
+        task = generate_task(TaskSpec(m=40, n=n, d=2, separation=1.0, noise_sigma=1.0, seed=n))
         tasks[f"grid-{n}"] = task
         tasks[f"jittered-{n}"] = Task(
             trusted=TrustedSet(task.trusted.x + rng.uniform(-1e-3, 1e-3, size=task.trusted.x.shape), task.trusted.y),
@@ -380,25 +415,25 @@ class _Recorder:
         self.summaries.append((best, count, words.tolist()))
 
 
-@pytest.mark.parametrize("name, task", _pairing_tasks().items())
+@pytest.mark.parametrize("name, task", _pairing_tasks(17, 20).items())
 @pytest.mark.parametrize("kind", ["centroid", "onenn"])
 def test_sweep_scores_complements_as_batch_scoring_does(name, task, kind, monkeypatch):
     n = task.n
     expected = error_counts_for_words(task, np.arange(1 << n), kind)
-    if not name.startswith("jittered"):  # refits round their sums otherwise
+    if not name.startswith("jittered") and n <= 11:  # refits round their sums otherwise
         assert expected.tolist() == naive_error_counts(task, kind).tolist()
-    scores = []  # the centroid sweep's (word, errors) of every word it scores
+    scored = []  # the centroid sweep's words and errors of each call
     real_merge_pair = learners._merge_pair
 
     def recording_merge_pair(tracker, high, mirror, wrong):
         width = wrong.shape[1]
-        scores.extend(zip(range(high, high + width), wrong[0].tolist()))
-        scores.extend(zip(range(mirror + width - 1, mirror - 1, -1), wrong[1].tolist()))
+        scored.append((np.arange(high, high + width), wrong[0].copy()))
+        scored.append((np.arange(mirror + width - 1, mirror - 1, -1), wrong[1].copy()))
         real_merge_pair(tracker, high, mirror, wrong)
 
     monkeypatch.setattr(learners, "_merge_pair", recording_merge_pair)
     for workers in (1, 2, 5):
-        scores.clear()
+        scored.clear()
         evaluator = _make_evaluator(kind, task.pool.x, task.trusted.x, task.trusted.y)
         recorder = _Recorder()
         for share in search._sweep_shares(n, workers):
@@ -413,8 +448,11 @@ def test_sweep_scores_complements_as_batch_scoring_does(name, task, kind, monkey
         assert len(listed) == len(set(listed))
         assert any(word >> (n - 1) for word in listed)  # complements are reported
         if kind == "centroid":
-            # the blocks and their mirror blocks score every word once
-            assert sorted(scores) == list(enumerate(expected.tolist())), workers
+            # the calls score every word and its complement once
+            words = np.concatenate([words for words, _ in scored])
+            errors = np.concatenate([errors for _, errors in scored])
+            assert np.array_equal(np.sort(words), np.arange(1 << n)), workers
+            assert np.array_equal(errors, expected[words]), workers
 
 
 @pytest.mark.parametrize("name, task", _pairing_tasks().items())

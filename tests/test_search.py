@@ -4,6 +4,7 @@ import os
 import re
 import signal
 import statistics
+import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -178,9 +179,9 @@ def _jittered(task, rng):
 @given(small_tasks(max_n=14, max_m=16), st.integers(0, 2**32 - 1))
 @settings(max_examples=25)
 def test_off_grid_centroid_outcome_is_identical_for_any_worker_count(task, seed):
-    # class sums are left folds in ascending pool index, whatever subcube
-    # and block a word falls in, so even rounded sums do not depend on
-    # how the workers split the sweep
+    # a word's class sums are its byte-table entries added in ascending
+    # byte order, whatever subcube and call it falls in, so even rounded
+    # sums do not depend on how the workers split the sweep
     task = _jittered(task, np.random.default_rng(seed))
     reference = _summary(exhaustive_search(task, "centroid"))
     for workers in (2, 3, 5, 8):
@@ -288,6 +289,43 @@ def test_parallel_calls_from_threads_take_turns_on_the_group():
     with ThreadPoolExecutor(max_workers=len(tasks)) as threads:
         outcomes = list(threads.map(repeated, tasks))
     assert outcomes == [[reference] * 20 for reference in references]
+    close_group_leaving_no_child()
+
+
+def test_concurrent_centroid_searches_keep_to_their_own_scoring_buffers():
+    # each thread cuts its scoring arrays from its own buffer; tasks of
+    # different trusted-set sizes and pools make different widths, so a
+    # shared buffer would mix one search's distances into another's
+    tasks = [generate_task(TaskSpec(m=m, n=n, d=2, separation=1.0, noise_sigma=1.0, seed=n))
+             for m, n in ((64, 13), (5, 11), (20, 12), (1, 9))]
+    references = [_summary(exhaustive_search(task, "centroid")) for task in tasks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(tasks)) as threads:
+            outcomes = list(threads.map(lambda task: [_summary(exhaustive_search(task, "centroid"))
+                                                      for _ in range(6)], tasks))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == [[reference] * 6 for reference in references]
+
+
+def test_a_forked_worker_scores_after_the_callers_buffer_grows():
+    # the group's worker is forked with a copy of the caller's small
+    # scoring buffer; the caller's buffer then grows, and the worker must
+    # grow its own copy for the wider calls that follow
+    small = generate_task(TaskSpec(m=2, n=6, d=2, separation=1.0, noise_sigma=1.0, seed=6))
+    wide = generate_task(TaskSpec(m=64, n=14, d=2, separation=1.0, noise_sigma=1.0, seed=14))
+    learners._SCORING.values = np.empty(0)
+    small_reference = _summary(exhaustive_search(small, "centroid"))
+    assert _summary(exhaustive_search(small, "centroid", workers=2)) == small_reference
+    forked_with = learners._SCORING.values
+    wide_reference = _summary(exhaustive_search(wide, "centroid"))
+    assert learners._SCORING.values.size > forked_with.size
+    for _ in range(2):
+        assert _summary(exhaustive_search(wide, "centroid", workers=2)) == wide_reference
+        assert _summary(exhaustive_search(small, "centroid", workers=2)) == small_reference
+    assert _summary(exhaustive_search(wide, "centroid")) == wide_reference
     close_group_leaving_no_child()
 
 
