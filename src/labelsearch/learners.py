@@ -22,8 +22,10 @@ complements, and forms class sums from the per-byte subset tables
 batch scoring reads; the one-NN evaluator walks the subcube in
 reflected-Gray order, so consecutive candidates differ in one bit and
 its state is updated instead of refit.  The walk applies that update to its error count,
-per-item deltas and word held in locals; the heuristics update the same
-state through ``flip`` and ``errors``.  That order comes from one place, the 4095-step ruler behind
+per-item deltas and word held in locals; the annealing walk updates the
+same state through ``flip`` and ``errors``, and the greedy walk scores
+all one-flip neighbours of its word in one ``neighbour_errors`` call
+that leaves the state alone.  That order comes from one place, the 4095-step ruler behind
 ``_gray_flip_blocks`` (the loopless reflected-Gray walk of Bitner,
 Ehrlich and Reingold, CACM 19(9), 1976); it is the package's only Gray
 code.
@@ -40,7 +42,10 @@ the two agree bit-for-bit on any data.  On coordinates from the
 generator's dyadic grid (see ``core.COORD_GRID``) all sums are exact in
 float64, so flip-updated states also match refit states bit-for-bit;
 on arbitrary float data a flip-updated state and a refit agree to about
-1e-9 relative.  The sweep and batch scoring both form a word's class
+1e-9 relative.  A neighbour scan forms each neighbour's class sums from
+the current sums with ``flip``'s operations and scores them in the
+batch scorer, so entry i is what ``flip(i)`` then ``errors()`` gives, on
+any data.  The sweep and batch scoring both form a word's class
 sums as its per-byte table entries added in ascending byte order, so on
 any data a word scores the same on either path and in whichever sweep
 call it falls.
@@ -356,6 +361,9 @@ def _sweep_call_bits(points: int) -> int:
 # trusted points, ``flip(i)`` toggles bit i and updates the state without
 # scoring, and ``errors()`` scores the current state.  Walks that undo a
 # rejected flip call ``flip`` twice and score once.
+# ``neighbour_errors()`` returns, as a list, the error counts of the n
+# words ``word ^ (1 << i)``, each as ``flip(i)`` then ``errors()`` would
+# score it, and leaves the current state alone.
 # ``errors_for_words(words)`` scores a uint64 array of words at once and
 # leaves the current state alone.
 # ``sweep(prefix_word, low_bits, tracker)`` scores the subcube of the
@@ -406,7 +414,10 @@ class _CentroidEvaluator:
     arithmetic.  ``errors`` divides the sums in Python and does the same
     IEEE operations, in the same order, on contiguous trusted columns.
     The build makes only what the sweep reads; the single-flip path
-    makes its rows and columns when it first needs them.
+    makes its rows and columns when it first needs them.  A neighbour
+    scan adds each item's signed row, held per bit value in ``_moves``,
+    to the current sums and scores the n neighbours at once in
+    ``_errors_of_sums``.
 
     The batch and sweep paths form class-sum columns for many words at
     once from one set of per-byte subset tables, adding each word's
@@ -497,6 +508,42 @@ class _CentroidEvaluator:
         d0 = self._distances(self.sums[0], n0)
         d1 = self._distances(self.sums[1], n1)
         return int(np.count_nonzero((d1 < d0) != self._is_one))  # tie -> class 0
+
+    @cached_property
+    def _moves(self) -> np.ndarray:
+        """Per bit value b, the change to the class sums and sizes at
+        [b, k, c, i] when item i leaves class b: the negated pool row in
+        class b's column and the row itself in the other's, with 1 for
+        the item in row d."""
+        n, d = self.pool_x.shape
+        rows = np.ones((d + 1, n))
+        rows[:d] = self.pool_x.T
+        moves = np.empty((2, d + 1, 2, n))
+        moves[0, :, 0] = moves[1, :, 1] = -rows
+        moves[0, :, 1] = moves[1, :, 0] = rows
+        return moves
+
+    def neighbour_errors(self) -> list[int]:
+        n = self.pool_x.shape[0]
+        arrays = _scoring_arrays(*self._point_columns.shape[:2], n)
+        sums = arrays[0]
+        (n0, n1), word = self.counts, self.word
+        bits = np.unpackbits(np.frombuffer(word.to_bytes(8, "little"), np.uint8), count=n, bitorder="little")
+        # flip's operations: a sum plus a negated row is the sum minus the row
+        current = np.array([self.sums[0] + [n0], self.sums[1] + [n1]]).T[:, :, None]
+        np.add(current, np.where(bits.view(bool), self._moves[1], self._moves[0]), out=sums)
+        empty = None
+        if n0 <= 1 or n1 <= 1:
+            # only a class of one item can empty; a neighbour with an
+            # empty class predicts the nonempty class
+            counts = sums[-1]
+            empty = counts == 0
+            np.maximum(counts, 1, out=counts)
+        wrong = self._errors_of_sums(arrays, 1)[0]
+        if empty is not None:
+            wrong[empty[1]] = self._errors_y1
+            wrong[empty[0]] = self._errors_y0
+        return wrong.tolist()
 
     def _errors_of_sums(self, arrays: tuple, tests: int) -> np.ndarray:
         """Error counts of candidate labelings given as the class-sum
@@ -641,8 +688,9 @@ class _OneNNEvaluator:
     gains per byte of the word.  The tallies are Python ints: numpy
     scalars would cost more per flip than the update itself.  For the
     same reason the sweep applies ``flip``'s update to locals instead of
-    calling ``flip`` and ``errors`` per word; the heuristic walks call
-    them.
+    calling ``flip`` and ``errors`` per word; the annealing walk calls
+    them, and a neighbour scan adds each item's delta to the error
+    count.
     """
 
     def __init__(self, pool_x, ax, ay):
@@ -674,6 +722,10 @@ class _OneNNEvaluator:
 
     def errors(self) -> int:
         return self._errors
+
+    def neighbour_errors(self) -> list[int]:
+        err = self._errors
+        return [err + d for d in self._delta]
 
     def errors_for_words(self, words: np.ndarray) -> np.ndarray:
         if self._tables is None:

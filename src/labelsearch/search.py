@@ -529,31 +529,32 @@ class _ReplayedDraws:
 def _greedy_walk(evaluator, n, config, tracker, rng) -> int:
     """First-improvement greedy: scan flips in index order, take the first
     strictly improving one; restart from a random word at local optima.
-    The first start is the all-zeros word."""
+    The first start is the all-zeros word.
+
+    Each scan scores all n neighbours in one ``neighbour_errors`` call
+    and walks them in index order: a scanned candidate counts as one
+    evaluation, and the scan stops at the first strict improvement or
+    at the budget.  Only the improving move is applied with ``flip``."""
     evals = 0
     starts = 0
-    while evals < config.budget and starts < config.restarts:
+    budget = config.budget
+    while evals < budget and starts < config.restarts:
         word = 0 if starts == 0 else int(rng.integers(0, 1 << n, dtype=np.uint64))
         err = evaluator.reset(word)
         evals += 1
         tracker.offer(word, err)
-        while evals < config.budget:
-            improved = False
-            for i in range(n):
-                if evals >= config.budget:
-                    break
-                evaluator.flip(i)
-                candidate = word ^ (1 << i)
-                cand_err = evaluator.errors()
-                evals += 1
+        while evals < budget:
+            scanned = min(n, budget - evals)
+            for i, cand_err in enumerate(evaluator.neighbour_errors()[:scanned]):
                 if cand_err <= tracker.best:
-                    tracker.offer(candidate, cand_err)
+                    tracker.offer(word ^ (1 << i), cand_err)
                 if cand_err < err:
-                    word, err = candidate, cand_err
-                    improved = True
+                    evals += i + 1
+                    evaluator.flip(i)
+                    word, err = word ^ (1 << i), cand_err
                     break
-                evaluator.flip(i)
-            if not improved:
+            else:
+                evals += scanned
                 break
         starts += 1
     return evals

@@ -158,6 +158,40 @@ def scalar_draw_anneal_walk(evaluator, n, config, tracker, rng):
     return evals
 
 
+def single_flip_greedy_walk(evaluator, n, config, tracker, rng):
+    """The first-improvement greedy walk one candidate at a time: flip,
+    score, and flip back unless the move strictly improves.  The
+    library's walk must give the same outcome and leave ``rng`` in the
+    same state."""
+    evals = 0
+    starts = 0
+    while evals < config.budget and starts < config.restarts:
+        word = 0 if starts == 0 else int(rng.integers(0, 1 << n, dtype=np.uint64))
+        err = evaluator.reset(word)
+        evals += 1
+        tracker.offer(word, err)
+        while evals < config.budget:
+            improved = False
+            for i in range(n):
+                if evals >= config.budget:
+                    break
+                evaluator.flip(i)
+                candidate = word ^ (1 << i)
+                cand_err = evaluator.errors()
+                evals += 1
+                if cand_err <= tracker.best:
+                    tracker.offer(candidate, cand_err)
+                if cand_err < err:
+                    word, err = candidate, cand_err
+                    improved = True
+                    break
+                evaluator.flip(i)
+            if not improved:
+                break
+        starts += 1
+    return evals
+
+
 def ols_slope(xs, ys):
     """Least-squares slope via the closed form, independent of the library."""
     xs = [float(x) for x in xs]

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -194,6 +195,52 @@ def test_errors_for_words_match_reset_on_wide_pools(kind, n):
     evaluator = _make_evaluator(kind, task.pool.x, task.trusted.x, task.trusted.y)
     batch = evaluator.errors_for_words(words)
     assert batch.tolist() == [evaluator.reset(int(w)) for w in words]
+
+
+#: The state of each evaluator that scores its current word.
+_WORD_STATE = {"centroid": ("word", "sums", "counts"), "onenn": ("word", "_errors", "_delta")}
+
+
+def _word_state(evaluator, kind):
+    return copy.deepcopy({name: getattr(evaluator, name) for name in _WORD_STATE[kind]})
+
+
+@pytest.mark.parametrize("n, m, d", [(1, 3, 1), (2, 5, 2), (5, 1, 3), (8, 12, 2), (13, 64, 1), (40, 64, 2),
+                                     (63, 20, 3)])
+@pytest.mark.parametrize("kind", ["centroid", "onenn"])
+def test_neighbour_errors_match_single_flips(kind, n, m, d):
+    # entry i is what flip(i), errors() gives, from a reset state and from
+    # one reached by flips, on grid and off-grid tasks, where neighbours
+    # with an empty class take the nonempty class's errors; the call
+    # leaves the state alone
+    rng = np.random.default_rng(1000 * n + m)
+    grid = generate_task(TaskSpec(m=m, n=n, d=d, separation=1.0, noise_sigma=1.0, seed=n))
+    naive = naive_error_counts(grid, kind) if n <= 8 else None
+    full = (1 << n) - 1
+    words = {0, full, *(1 << i for i in range(n)), *(full ^ (1 << i) for i in range(n)),
+             *rng.integers(0, 1 << n, size=6, dtype=np.uint64).tolist()}
+    for scale in (0.0, 1e-3, 0.37):
+        pool_x = grid.pool.x + rng.uniform(-scale, scale, size=grid.pool.x.shape)
+        ax = grid.trusted.x + rng.uniform(-scale, scale, size=grid.trusted.x.shape)
+        evaluator = _make_evaluator(kind, pool_x, ax, grid.trusted.y)
+        for word in sorted(words):
+            for walk in (0, int(rng.integers(0, 1 << n, dtype=np.uint64))):
+                evaluator.reset(word ^ walk)
+                for i in range(n):
+                    if (walk >> i) & 1:
+                        evaluator.flip(i)
+                state, err = _word_state(evaluator, kind), evaluator.errors()
+                scan = evaluator.neighbour_errors()
+                assert (_word_state(evaluator, kind), evaluator.errors()) == (state, err)
+                expected = []
+                for i in range(n):
+                    evaluator.flip(i)
+                    expected.append(evaluator.errors())
+                    evaluator.flip(i)
+                    vars(evaluator).update(copy.deepcopy(state))  # off the grid the undo may round the sums
+                assert scan == expected, (scale, word, walk)
+                if naive is not None and scale == 0.0:
+                    assert scan == [int(naive[word ^ (1 << i)]) for i in range(n)]
 
 
 # --- centroid sweep blocks --------------------------------------------------

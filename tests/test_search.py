@@ -40,6 +40,7 @@ from oracles import (
     onenn_closed_form,
     pack_word,
     scalar_draw_anneal_walk,
+    single_flip_greedy_walk,
 )
 
 
@@ -680,6 +681,40 @@ def test_anneal_matches_the_scalar_draw_walk(kind):
             outcomes.append((evals, tracker.best, tracker.count, tracker.sorted_words(), evaluator.word,
                              rng.bit_generator.state))
         assert outcomes[0] == outcomes[1], (case, config)
+
+
+def _jitter(task, rng, scale):
+    """The task with every coordinate moved by up to ``scale``."""
+    def jitter(x):
+        return x + rng.uniform(-scale, scale, size=x.shape)
+
+    return Task(trusted=TrustedSet(jitter(task.trusted.x), task.trusted.y), pool=UnlabeledPool(jitter(task.pool.x)))
+
+
+@pytest.mark.parametrize("kind", ["centroid", "onenn"])
+def test_greedy_matches_the_single_flip_walk(kind):
+    # one neighbour_errors call per scan gives the outcome of flipping,
+    # scoring and flipping back one candidate at a time, with budgets
+    # that stop walks mid-scan, and off the grid, where the undo flips
+    # can leave the single-flip walk's running sums an ulp off
+    plan = np.random.default_rng(78)
+    jitter = np.random.default_rng(79)
+    for case in range(40):
+        n = 1 + case * 62 // 39
+        grid = generate_task(TaskSpec(m=int(plan.integers(1, 71)), n=n, d=int(plan.integers(1, 4)),
+                                      separation=1.0, noise_sigma=1.0, seed=case))
+        config = HeuristicConfig(kind="greedy-flip", budget=int(plan.integers(1, 3001)),
+                                 restarts=int(plan.integers(1, 51)), rng_seed=case)
+        for task in (grid, _jitter(grid, jitter, 1e-3), _jitter(grid, jitter, 0.37)):
+            outcomes = []
+            for walk in (search._greedy_walk, single_flip_greedy_walk):
+                evaluator = _make_evaluator(kind, task.pool.x, task.trusted.x, task.trusted.y)
+                tracker = search._DedupeTracker()
+                rng = np.random.default_rng(config.rng_seed)
+                evals = walk(evaluator, n, config, tracker, rng)
+                outcomes.append((evals, tracker.best, tracker.count, tracker.sorted_words(), evaluator.word,
+                                 rng.bit_generator.state))
+            assert outcomes[0] == outcomes[1], (case, config)
 
 
 def test_greedy_from_all_zeros_local_optimum_eval_count():
