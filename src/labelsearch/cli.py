@@ -2,7 +2,9 @@
 
 One subcommand per capability: ``gen-data``, ``search`` (exhaustive,
 random, greedy, anneal), ``chance-hit``, ``baseline`` (conventional,
-selftrain), ``scaling``, and ``cost-model`` (table, ledger).
+selftrain, and compare, which sets both beside the exhaustive optimum
+and the trusted-set errors of the true and self-training labelings),
+``scaling``, and ``cost-model`` (table, ledger).
 
 ``_PARAMS`` declares each parameter of each subcommand and mode once;
 the flags, ``--help``, the config checks and the echoed config all read
@@ -29,8 +31,8 @@ import os
 import sys
 
 from . import costmodel, harness, search
-from .core import _write_atomic, load_task, task_to_json
-from .learners import CENTROID, KINDS
+from .core import _write_atomic, evaluate_mu, load_task, task_to_json
+from .learners import CENTROID, KINDS, fit, predict
 
 _SEARCH_MODES = {"exhaustive": None, "random": "random", "greedy": "greedy-flip", "anneal": "anneal"}
 
@@ -96,7 +98,7 @@ _PARAMS = {
         "task": _TASK,
         "out": _OUT,
     },
-    **{("baseline", mode): _BASELINE for mode in ("conventional", "selftrain")},
+    **{("baseline", mode): _BASELINE for mode in ("conventional", "selftrain", "compare")},
     ("scaling", None): {
         "m": (int, 8, "trusted set size"),
         **_TASK_SHAPE,
@@ -244,12 +246,32 @@ def _run_chance_hit(parser, mode, cfg) -> dict:
     return search.chance_hit_experiment(task, cfg["trials"], cfg["seed"], cfg["learner"], cfg["cap"])
 
 
+def _labeling_mu(task, labels, learner: str) -> float:
+    """Trusted-set error of the learner fitted to one labeling of the pool."""
+    return evaluate_mu(predict(fit(task.pool, labels, learner), task.trusted), task.trusted)
+
+
 def _run_baseline(parser, mode, cfg) -> dict:
-    """conventional or self-training baseline"""
-    task = load_task(cfg["task"])
+    """conventional or self-training baseline, or both against the exhaustive optimum"""
+    task, learner = load_task(cfg["task"]), cfg["learner"]
     if mode == "conventional":
-        return harness.conventional_pipeline(task, cfg["learner"])
-    return harness.self_training_baseline(task, cfg["learner"], cfg["quantile"], cfg["max_rounds"])
+        return harness.conventional_pipeline(task, learner)
+    selftrain = harness.self_training_baseline(task, learner, cfg["quantile"], cfg["max_rounds"])
+    if mode == "selftrain":
+        return selftrain
+    best = search.exhaustive_search(task, learner)
+    labeling_mu = {
+        "ground_truth": None if task.ground_truth is None else _labeling_mu(task, task.ground_truth, learner),
+        "selftrain": _labeling_mu(task, selftrain["induced_labels_B"], learner),
+    }
+    return {
+        "conventional": harness.conventional_pipeline(task, learner),
+        "selftrain": selftrain,
+        "exhaustive": {"best_mu": best.best_mu, "argmin_count": best.argmin_count, "evaluations": best.evaluations},
+        "labeling_mu": labeling_mu,
+        # no labeling of the pool can score below the exhaustive optimum
+        "optimum_dominates": all(best.best_mu <= mu for mu in labeling_mu.values() if mu is not None),
+    }
 
 
 def _run_scaling(parser, mode, cfg) -> None:

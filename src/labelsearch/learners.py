@@ -532,18 +532,7 @@ class _CentroidEvaluator:
         # flip's operations: a sum plus a negated row is the sum minus the row
         current = np.array([self.sums[0] + [n0], self.sums[1] + [n1]]).T[:, :, None]
         np.add(current, np.where(bits.view(bool), self._moves[1], self._moves[0]), out=sums)
-        empty = None
-        if n0 <= 1 or n1 <= 1:
-            # only a class of one item can empty; a neighbour with an
-            # empty class predicts the nonempty class
-            counts = sums[-1]
-            empty = counts == 0
-            np.maximum(counts, 1, out=counts)
-        wrong = self._errors_of_sums(arrays, 1)[0]
-        if empty is not None:
-            wrong[empty[1]] = self._errors_y1
-            wrong[empty[0]] = self._errors_y0
-        return wrong.tolist()
+        return self._errors_of_sums(arrays, 1)[0].tolist()
 
     def _errors_of_sums(self, arrays: tuple, tests: int) -> np.ndarray:
         """Error counts of candidate labelings given as the class-sum
@@ -552,24 +541,28 @@ class _CentroidEvaluator:
         counts are valid until the thread's next scoring call.
 
         ``sums[k, c, j]`` is coordinate k of class c's sum for candidate
-        j and ``sums[d, c, j]`` the size of class c, as a positive float:
-        a caller gives an empty class any size and overwrites the
-        candidate's errors.  The sums are divided, in place, into
-        centroid columns and scored with the operations of
-        ``squared_distances``: both
+        j and ``sums[d, c, j]`` the size of class c, as a float.  The sums
+        are divided, in place, into centroid columns and scored with the
+        operations of ``squared_distances``: both
         classes at once, for as many trusted points per numpy call as
         keep about ``_SCORE_CELLS`` distances.  A complement's class
         sums are its candidate's swapped, so its distances are too: a
         candidate predicts class 1 where d1 < d0, its complement where
-        d0 < d1, and a tie predicts class 0 under both.
+        d0 < d1, and a tie predicts class 0 under both.  A candidate
+        with an empty class predicts the nonempty class, and its
+        complement the other one.
         """
         sums, dist, diff, ours, theirs, miss, counted, wrong = arrays
         width = sums.shape[-1]
         # rows of 2 * width values: numpy broadcasts a row over shorter
         # rows at several times the cost per value
         columns = sums.reshape(-1, 2 * width)
-        centroids = columns[:-1]
-        np.divide(centroids, columns[-1], out=centroids)
+        centroids, sizes = columns[:-1], columns[-1]
+        empty = []
+        if not sizes.all():
+            empty = (sizes == 0).nonzero()[0].tolist()  # class c of candidate j at c * width + j
+            sizes[empty] = 1
+        np.divide(centroids, sizes, out=centroids)
         rows = dist.shape[0]
         wrong = wrong[:tests]
         wrong.fill(0)
@@ -591,6 +584,13 @@ class _CentroidEvaluator:
             else:
                 np.add.reduce(miss[:r, :tests].view(np.uint8), axis=0, out=counted[:tests])
                 wrong += counted[:tests]
+        # a candidate whose class c is empty predicts the other class for
+        # every point and so misses the points of class c; its
+        # complement's empty class is the other one
+        missed = (self._errors_y0, self._errors_y1, self._errors_y0)
+        for at in empty:
+            c, j = divmod(at, width)
+            wrong[:, j] = missed[c : c + tests]
         return wrong
 
     def errors_for_words(self, words: np.ndarray) -> np.ndarray:
@@ -598,14 +598,7 @@ class _CentroidEvaluator:
         sums = arrays[0]
         _sum_byte_tables(self._tables.reshape(self._tables.shape[0], -1, 256), words,
                          sums.reshape(-1, words.shape[0]))
-        counts = sums[-1]
-        # a labeling with an empty class predicts the nonempty class
-        empty = counts == 0
-        np.maximum(counts, 1, out=counts)
-        wrong = self._errors_of_sums(arrays, 1)[0].copy()
-        wrong[empty[1]] = self._errors_y1
-        wrong[empty[0]] = self._errors_y0
-        return wrong
+        return self._errors_of_sums(arrays, 1)[0].copy()
 
     def _block_sums(self, high: int, sums: np.ndarray) -> None:
         """Write into ``sums`` (d + 1, 2, width) the class sums and, in
@@ -632,17 +625,10 @@ class _CentroidEvaluator:
         """Error counts of the ``width`` words ``high + s`` in ascending
         s, in row 0, and of their complements, in row 1; ``high`` is a
         multiple of ``width``, a power of two, and the words have the top
-        bit clear.  Word 0, the only one of them with an empty class,
-        predicts class 0 everywhere and its complement class 1."""
+        bit clear."""
         arrays = _scoring_arrays(*self._point_columns.shape[:2], width)
-        sums = arrays[0]
-        self._block_sums(high, sums)
-        if high == 0:
-            sums[-1, 1, 0] = 1
-        wrong = self._errors_of_sums(arrays, 2)
-        if high == 0:
-            wrong[:, 0] = self._errors_y1, self._errors_y0
-        return wrong
+        self._block_sums(high, arrays[0])
+        return self._errors_of_sums(arrays, 2)
 
     def sweep(self, prefix_word: int, low_bits: int, tracker) -> None:
         """Score the words that share ``prefix_word``'s bits from

@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import signal
 import stat
 import subprocess
@@ -9,7 +11,17 @@ import textwrap
 
 import pytest
 
-from labelsearch import cli, search
+from labelsearch import (
+    cli,
+    conventional_pipeline,
+    evaluate_mu,
+    exhaustive_search,
+    fit,
+    load_task,
+    predict,
+    search,
+    self_training_baseline,
+)
 from labelsearch.cli import main
 
 from conftest import umask
@@ -398,13 +410,82 @@ def test_cost_model_table_past_a_float_step(tmp_path):
     assert row[0] == "1000" and float(row[3]) == pytest.approx(1.0715086071862673e-302, rel=1e-12)
 
 
-def test_compare_baselines_script_runs():
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_baselines.py")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, script, "--n", "8"], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "exhaustive optimum dominates both: True" in proc.stdout
+def test_baseline_compare_on_the_readme_task(tmp_path):
+    task = _gen(tmp_path, n=14, sep=1.0, seed=5)
+    out = tmp_path / "compare.json"
+    assert main(["baseline", "compare", "--task", str(task), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["conventional"] == {"mu_on_A_holdout": 0.5, "accuracy_on_B_truth": 11 / 14}
+    assert (doc["selftrain"]["final_mu"], doc["selftrain"]["rounds"]) == (0.5, 4)
+    assert doc["exhaustive"] == {"best_mu": 0.25, "argmin_count": 2117, "evaluations": 2**14}
+    assert doc["labeling_mu"] == {"ground_truth": 0.375, "selftrain": 0.25}
+    assert doc["optimum_dominates"] is True
+
+
+@pytest.mark.parametrize("learner", ["centroid", "onenn"])
+def test_baseline_compare_matches_the_library(tmp_path, learner):
+    out = tmp_path / "compare.json"
+    for name in ("task_m1_n6_d1", "task_m5_n7_d3", "task_m16_n9_d4", "task_m8_n10_d2"):
+        path = os.path.join(DATA, name + ".json")
+        assert main(["baseline", "compare", "--task", path, "--learner", learner, "--quantile", "0.4",
+                     "--max-rounds", "4", "--out", str(out)]) == 0
+        task = load_task(path)
+        best = exhaustive_search(task, learner)
+        selftrain = self_training_baseline(task, learner, 0.4, 4)
+
+        def mu(labels):
+            return evaluate_mu(predict(fit(task.pool, labels, learner), task.trusted), task.trusted)
+
+        labeling_mu = {"ground_truth": mu(task.ground_truth), "selftrain": mu(selftrain["induced_labels_B"])}
+        assert best.best_mu <= min(labeling_mu.values())
+        assert json.loads(out.read_text()) == {
+            "command": "baseline",
+            "mode": "compare",
+            "config": {"learner": learner, "quantile": 0.4, "max_rounds": 4, "task": path, "out": str(out)},
+            "conventional": conventional_pipeline(task, learner),
+            "selftrain": selftrain,
+            "exhaustive": {"best_mu": best.best_mu, "argmin_count": best.argmin_count,
+                           "evaluations": best.evaluations},
+            "labeling_mu": labeling_mu,
+            "optimum_dominates": True,
+        }
+
+
+def test_baseline_compare_without_ground_truth_or_over_the_cap(tmp_path, capsys):
+    with open(os.path.join(DATA, "task_m5_n7_d3.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["ground_truth_B"]
+    task = tmp_path / "no_truth.json"
+    task.write_text(json.dumps(doc))
+    out = tmp_path / "compare.json"
+    assert main(["baseline", "compare", "--task", str(task), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["conventional"]["accuracy_on_B_truth"] is None
+    assert result["labeling_mu"]["ground_truth"] is None
+    assert result["exhaustive"]["best_mu"] <= result["labeling_mu"]["selftrain"]
+    assert result["optimum_dominates"] is True
+    # a pool over the exhaustive cap is refused and writes nothing
+    big = _gen(tmp_path, "big.json", n=search.DEFAULT_EXHAUSTIVE_CAP + 1)
+    never = tmp_path / "never.json"
+    assert main(["baseline", "compare", "--task", str(big), "--out", str(never)]) == 1
+    assert f"exceeds cap {search.DEFAULT_EXHAUSTIVE_CAP}" in capsys.readouterr().err
+    assert not never.exists()
+    assert not list(tmp_path.glob(".tmp*"))
+
+
+def test_readme_commands_parse():
+    """Every ``labelsearch`` line of the README's bash blocks names flags,
+    modes and values that the CLI takes."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```bash\n(.*?)```", fh.read(), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("labelsearch ")]
+    assert {line.split()[1] for line in lines} == set(cli._HANDLERS)  # every subcommand is shown
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            cli._resolve(parser, parser.parse_args(shlex.split(line)[1:]))
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_cost_model_ledger(tmp_path):
@@ -443,9 +524,10 @@ def test_config_file_precedence(tmp_path):
     (["chance-hit", "--trials", "500"], {"seed": 3}, ()),
     (["baseline", "conventional", "--learner", "onenn"], {}, ()),
     (["baseline", "selftrain", "--max-rounds", "3"], {"quantile": 1}, ("quantile",)),
+    (["baseline", "compare", "--learner", "onenn"], {"quantile": 1, "max_rounds": 2}, ("quantile",)),
     (["cost-model", "ledger", "--label", "3"], {"risk": 1, "quality": 0.5}, ("risk",)),
 ], ids=["search-exhaustive", "search-random", "search-greedy", "search-anneal", "chance-hit",
-        "baseline-conventional", "baseline-selftrain", "cost-model-ledger"])
+        "baseline-conventional", "baseline-selftrain", "baseline-compare", "cost-model-ledger"])
 def test_config_round_trips_losslessly(tmp_path, args, config, floats):
     if args[0] != "cost-model":
         config = {**config, "task": str(_gen(tmp_path, n=8))}
