@@ -15,7 +15,7 @@ Example:
     python3 scripts/bench_record.py --label heuristics-bytetables \\
         --parent parent-out/heuristics-seed*-trace0.json \\
         --change perfbench/out/heuristics-seed*-trace0.json \\
-        --previous BENCH_baseline.json
+        --previous BENCH_centroid-emptyclass.json
 """
 
 import argparse

@@ -15,8 +15,10 @@ a JSON number and is kept as a float, a path or list must be a string,
 and integers and learner kinds are checked by the library.  A flag or
 key that the subcommand and mode do not take is an argument error.
 Result JSON files echo the resolved parameters under ``"config"``, which
-can be fed back verbatim as a config file.  All outputs are written
-atomically (temp file, then rename).
+can be fed back verbatim as a config file.  ``main`` writes every
+result; gen-data's task file and cost-model table's CSV are the only
+outputs a handler writes itself.  All outputs are written atomically
+(temp file, then rename).
 
 Exit codes: 0 success, 2 argument errors (with usage), 1 runtime
 refusals and failures (for example a pool over the exhaustive cap, a
@@ -105,9 +107,8 @@ _PARAMS = {
         "learner": _LEARNER,
         "workers": _WORKERS,
         "cap": _CAP,
-        "out_csv": (str, None, "CSV report path"),
-        "out_json": (str, None, "JSON report path"),
         "n_values": (str, _REQUIRED, "pool sizes, 'LO:HI' or comma list"),
+        "out": _OUT,
     },
     ("cost-model", "table"): {
         "tc_ms": (float, 1.0, "per-cycle time in milliseconds"),
@@ -274,17 +275,21 @@ def _run_baseline(parser, mode, cfg) -> dict:
     }
 
 
-def _run_scaling(parser, mode, cfg) -> None:
+def _run_scaling(parser, mode, cfg) -> dict:
     """exhaustive sweep wall clock across pool sizes"""
-    if cfg["out_csv"] is None and cfg["out_json"] is None:
-        parser.error("scaling needs --out-csv and/or --out-json")
     n_values = _parse_int_list(cfg["n_values"])
-    template = _task_spec(cfg, max(n_values))
-    report = harness.scaling_experiment(n_values, template, cfg["learner"], workers=cfg["workers"], cap=cfg["cap"])
-    if cfg["out_csv"] is not None:
-        _write_atomic(cfg["out_csv"], harness.scaling_report_csv(report))
-    if cfg["out_json"] is not None:
-        _write_atomic(cfg["out_json"], harness.scaling_report_json(report, template, cfg["learner"]))
+    report = harness.scaling_experiment(n_values, _task_spec(cfg, max(n_values)), cfg["learner"],
+                                        workers=cfg["workers"], cap=cfg["cap"])
+    rows = report.rows
+    fixed_cost, per_labeling = harness.fit_fixed_cost([r.n for r in rows], [r.elapsed for r in rows])
+    return {
+        "results": [{"n": r.n, "evaluations": r.evaluations, "best_mu": r.best_mu, "argmin_count": r.argmin_count,
+                     "total_time": r.elapsed, "mean_eval_time": r.mean_eval_time} for r in rows],
+        "slope": report.fitted_slope,
+        "slope_stderr": report.slope_stderr,
+        "fixed_cost_s": fixed_cost,
+        "per_labeling_s": per_labeling,
+    }
 
 
 def _run_cost_model(parser, mode, cfg) -> dict | None:

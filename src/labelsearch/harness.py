@@ -12,7 +12,6 @@ so that every learner-path comparison in this package is exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -228,7 +227,6 @@ class ScalingReport:
     rows: tuple[SearchOutcome, ...]
     fitted_slope: float
     slope_stderr: float
-    workers: int
 
 
 def fit_log2_slope(ns, values) -> tuple[float, float]:
@@ -285,15 +283,17 @@ def scaling_experiment(
     discarded warm-up at the smallest n; timings use the monotonic
     clock.  ``workers`` must lie in [1, ``search.MAX_WORKERS``]; with
     more than one, the sweep's persistent workers are forked by the
-    warm-up and serve every n, so per-call overhead stays flat.
+    warm-up and serve every n, so per-call overhead stays flat.  Fewer
+    than two distinct n, which no slope fits, are refused before any
+    sweep.
     """
     _check_kind(learner_kind)
     ns = sorted(set(_check_integer("n", n) for n in n_values))
-    if not ns:
-        raise ValueError("n_values must be nonempty")
     for n in ns:
         _check_exhaustive_cap(n, cap)
     workers = _check_workers(workers)
+    if len(ns) < 2:
+        raise ValueError("slope fit needs at least two distinct n values")
 
     def task_for(n: int) -> Task:
         return generate_task(replace(template, n=n, seed=template.seed + n))
@@ -302,42 +302,4 @@ def scaling_experiment(
     exhaustive_search(task_for(ns[0]), learner_kind, workers, cap)
     rows = tuple(exhaustive_search(task_for(n), learner_kind, workers, cap) for n in ns)
     slope, stderr = fit_log2_slope(ns, [r.elapsed for r in rows])
-    return ScalingReport(rows=rows, fitted_slope=slope, slope_stderr=stderr, workers=workers)
-
-
-def scaling_report_csv(report: ScalingReport) -> str:
-    lines = ["n,evaluations,best_mu,total_time,mean_eval_time"]
-    for r in report.rows:
-        lines.append(f"{r.n},{r.evaluations},{r.best_mu},{r.elapsed},{r.mean_eval_time}")
-    return "\n".join(lines) + "\n"
-
-
-def scaling_report_json(report: ScalingReport, template: TaskSpec, learner_kind: str) -> str:
-    fixed_cost, per_labeling = fit_fixed_cost([r.n for r in report.rows], [r.elapsed for r in report.rows])
-    doc = {
-        "spec": {
-            "m": template.m,
-            "d": template.d,
-            "separation": template.separation,
-            "noise_sigma": template.noise_sigma,
-            "seed": template.seed,
-            "learner": learner_kind,
-        },
-        "results": [
-            {
-                "n": r.n,
-                "evaluations": r.evaluations,
-                "best_mu": r.best_mu,
-                "argmin_count": r.argmin_count,
-                "total_time": r.elapsed,
-                "mean_eval_time": r.mean_eval_time,
-            }
-            for r in report.rows
-        ],
-        "slope": report.fitted_slope,
-        "slope_stderr": report.slope_stderr,
-        "fixed_cost_s": fixed_cost,
-        "per_labeling_s": per_labeling,
-        "workers": report.workers,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return ScalingReport(rows=rows, fitted_slope=slope, slope_stderr=stderr)

@@ -12,17 +12,22 @@ import textwrap
 import pytest
 
 from labelsearch import (
+    TaskSpec,
     cli,
     conventional_pipeline,
     evaluate_mu,
     exhaustive_search,
     fit,
+    generate_task,
+    harness,
     load_task,
     predict,
+    scaling_experiment,
     search,
     self_training_baseline,
 )
 from labelsearch.cli import main
+from labelsearch.harness import fit_fixed_cost, fit_log2_slope
 
 from conftest import umask
 
@@ -40,8 +45,17 @@ def _gen(tmp_path, name="task.json", n=12, m=8, seed=1, sep=4.0):
     return path
 
 
+#: Result fields read from the clock, or fitted to it, which reruns do not
+#: reproduce.
+_TIMING = ("elapsed_s", "mean_eval_time_s", "total_time", "mean_eval_time",
+           "slope", "slope_stderr", "fixed_cost_s", "per_labeling_s")
+
+
 def _strip_timing(doc):
-    return {k: v for k, v in doc.items() if k not in ("elapsed_s", "mean_eval_time_s")}
+    doc = {k: v for k, v in doc.items() if k not in _TIMING}
+    if "results" in doc:  # a scaling result's rows
+        doc["results"] = [_strip_timing(row) for row in doc["results"]]
+    return doc
 
 
 def test_gen_data_writes_schema_conformant_file(tmp_path):
@@ -111,7 +125,7 @@ def test_bad_worker_counts_exit_one_before_any_process_starts(tmp_path, capsys, 
     rc = main(["search", "exhaustive", "--task", str(task), "--workers", workers, "--out", str(out)])
     assert rc == 1
     assert f"workers must be in [1, {search.MAX_WORKERS}], got {workers}" in capsys.readouterr().err
-    rc = main(["scaling", "--n-values", "13", "--workers", workers, "--out-csv", str(out)])
+    rc = main(["scaling", "--n-values", "13", "--workers", workers, "--out", str(out)])
     assert rc == 1
     assert f"workers must be in [1, {search.MAX_WORKERS}], got {workers}" in capsys.readouterr().err
     assert starts == []
@@ -142,8 +156,8 @@ def test_config_counts_that_are_not_integers_exit_one(tmp_path, capsys, command,
 @pytest.mark.parametrize("command, config, message", [
     (["gen-data", "--out", "{tmp}/task.json"], {"m": 4, "n": 6.0}, "n must be an integer, got 6.0"),
     (["gen-data", "--out", "{tmp}/task.json"], {"m": 4, "n": 6, "seed": "1"}, "seed must be an integer, got '1'"),
-    (["scaling", "--n-values", "4:5", "--out-csv", "{tmp}/s.csv"], {"m": 3.5}, "m must be an integer, got 3.5"),
-    (["scaling", "--n-values", "4:5", "--out-csv", "{tmp}/s.csv"], {"workers": 1.0}, "workers must be an integer, got 1.0"),
+    (["scaling", "--n-values", "4:5", "--out", "{tmp}/s.json"], {"m": 3.5}, "m must be an integer, got 3.5"),
+    (["scaling", "--n-values", "4:5", "--out", "{tmp}/s.json"], {"workers": 1.0}, "workers must be an integer, got 1.0"),
 ])
 def test_config_task_integers_that_are_not_integers_exit_one(tmp_path, capsys, command, config, message):
     path = tmp_path / "config.json"
@@ -151,11 +165,11 @@ def test_config_task_integers_that_are_not_integers_exit_one(tmp_path, capsys, c
     rc = main([arg.format(tmp=tmp_path) for arg in command] + ["--config", str(path)])
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
-    assert not list(tmp_path.glob("task.json")) and not list(tmp_path.glob("s.csv"))
+    assert not list(tmp_path.glob("task.json")) and not list(tmp_path.glob("s.json"))
 
 
 @pytest.mark.parametrize("args, message", [
-    (["scaling", "--n-values", ",", "--out-csv", "{tmp}/s.csv"], "no integers in ','"),
+    (["scaling", "--n-values", ",", "--out", "{tmp}/s.json"], "no integers in ','"),
     (["cost-model", "table", "--n", ",,", "--out", "{tmp}/s.csv"], "no integers in ',,'"),
     (["gen-data", "--m", "4", "--n", "6", "--sep", "nan", "--out", "{tmp}/t.json"],
      "separation must be finite, got nan"),
@@ -163,7 +177,7 @@ def test_config_task_integers_that_are_not_integers_exit_one(tmp_path, capsys, c
      "separation must be finite, got inf"),
     (["gen-data", "--m", "4", "--n", "6", "--sigma", "inf", "--out", "{tmp}/t.json"],
      "noise_sigma must be finite, got inf"),
-    (["scaling", "--n-values", "4:5", "--sep=-inf", "--out-csv", "{tmp}/s.csv"],
+    (["scaling", "--n-values", "4:5", "--sep=-inf", "--out", "{tmp}/s.json"],
      "separation must be finite, got -inf"),
     (["cost-model", "ledger", "--label", "inf", "--quality", "1", "--out", "{tmp}/l.json"],
      "ledger component label must be finite, got inf"),
@@ -364,19 +378,44 @@ def test_baseline_subcommands(tmp_path):
     assert sdoc["final_mu"] == 0.0
 
 
-def test_scaling_subcommand_outputs(tmp_path):
-    csv_path, json_path = tmp_path / "scal.csv", tmp_path / "scal.json"
-    rc = main(["scaling", "--n-values", "6:9", "--m", "5", "--seed", "2",
-               "--workers", "1", "--out-csv", str(csv_path), "--out-json", str(json_path)])
+def test_scaling_subcommand_writes_its_result_through_main(tmp_path):
+    out = tmp_path / "scal.json"
+    rc = main(["scaling", "--n-values", "6:9", "--m", "5", "--seed", "2", "--learner", "onenn",
+               "--workers", "1", "--out", str(out)])
     assert rc == 0
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "n,evaluations,best_mu,total_time,mean_eval_time"
-    assert len(lines) == 5
-    doc = json.loads(json_path.read_text())
-    assert set(doc) >= {"spec", "results", "slope"}
-    with pytest.raises(SystemExit) as exc:
-        main(["scaling", "--n-values", "6:9"])  # no outputs requested
-    assert exc.value.code == 2
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["command", "config", "results", "slope", "slope_stderr", "fixed_cost_s", "per_labeling_s"]
+    assert doc["command"] == "scaling" and doc["config"]["learner"] == "onenn"
+    expected = [exhaustive_search(generate_task(TaskSpec(m=5, n=n, d=2, separation=4.0, noise_sigma=1.0, seed=2 + n)),
+                                  "onenn") for n in range(6, 10)]
+    assert [(row["n"], row["evaluations"], row["best_mu"], row["argmin_count"]) for row in doc["results"]] == [
+        (outcome.n, outcome.evaluations, outcome.best_mu, outcome.argmin_count) for outcome in expected]
+    times = [row["total_time"] for row in doc["results"]]
+    assert all(time > 0 for time in times)
+    assert (doc["slope"], doc["slope_stderr"]) == fit_log2_slope(range(6, 10), times)
+    assert (doc["fixed_cost_s"], doc["per_labeling_s"]) == fit_fixed_cost(range(6, 10), times)
+    # the CSV and JSON report flags are gone, and the result path is required
+    again = str(tmp_path / "again.json")
+    for extra in (["--out", again, "--out-csv", again], ["--out", again, "--out-json", again], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling", "--n-values", "6:9", "--workers", "1", *extra])
+        assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("n_values", ["20", "20,20"])
+def test_scaling_over_one_distinct_n_exits_one_before_any_sweep(tmp_path, capsys, monkeypatch, n_values):
+    def refuse_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(harness, "exhaustive_search", refuse_sweep)
+    template = TaskSpec(m=8, n=20, d=2, separation=4.0, noise_sigma=1.0, seed=0)
+    with pytest.raises(ValueError, match="^slope fit needs at least two distinct n values$"):
+        scaling_experiment([int(n) for n in n_values.split(",")], template)
+    out = tmp_path / "never.json"
+    assert main(["scaling", "--n-values", n_values, "--out", str(out)]) == 1
+    assert "error: slope fit needs at least two distinct n values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cost_model_table_row_count(tmp_path):
@@ -526,10 +565,11 @@ def test_config_file_precedence(tmp_path):
     (["baseline", "selftrain", "--max-rounds", "3"], {"quantile": 1}, ("quantile",)),
     (["baseline", "compare", "--learner", "onenn"], {"quantile": 1, "max_rounds": 2}, ("quantile",)),
     (["cost-model", "ledger", "--label", "3"], {"risk": 1, "quality": 0.5}, ("risk",)),
+    (["scaling", "--n-values", "4:6", "--workers", "1"], {"m": 3, "sigma": 2}, ("sigma",)),
 ], ids=["search-exhaustive", "search-random", "search-greedy", "search-anneal", "chance-hit",
-        "baseline-conventional", "baseline-selftrain", "baseline-compare", "cost-model-ledger"])
+        "baseline-conventional", "baseline-selftrain", "baseline-compare", "cost-model-ledger", "scaling"])
 def test_config_round_trips_losslessly(tmp_path, args, config, floats):
-    if args[0] != "cost-model":
+    if args[0] not in ("cost-model", "scaling"):
         config = {**config, "task": str(_gen(tmp_path, n=8))}
     first = tmp_path / "first.json"
     first.write_text(json.dumps(config))
@@ -542,7 +582,7 @@ def test_config_round_trips_losslessly(tmp_path, args, config, floats):
     resolved = tmp_path / "resolved.json"
     resolved.write_text(json.dumps(doc1["config"]))
     out2 = tmp_path / "b.json"
-    assert main([*args[:2 if args[0] != "chance-hit" else 1], "--config", str(resolved),
+    assert main([*args[:1 if args[1].startswith("--") else 2], "--config", str(resolved),
                  "--out", str(out2)]) == 0
     doc2 = json.loads(out2.read_text())
     assert doc2["config"] == {**doc1["config"], "out": str(out2)}
@@ -557,7 +597,7 @@ def test_unknown_config_keys_are_argument_errors(tmp_path, monkeypatch):
         # a key of the other cost-model mode, or of another subcommand
         (["cost-model", "ledger", "--out", "l.json"], {"regimes": "const:2"}),
         (["cost-model", "table", "--n", "1:3", "--out", "s.csv"], {"quality": 1.0}),
-        (["scaling", "--n-values", "4:5", "--out-csv", "s.csv"], {"task": "t.json"}),
+        (["scaling", "--n-values", "4:5", "--out", "s.json"], {"task": "t.json"}),
     ):
         path.write_text(json.dumps(config))
         with pytest.raises(SystemExit) as exc:
@@ -575,7 +615,7 @@ def test_unknown_config_keys_are_argument_errors(tmp_path, monkeypatch):
     (["cost-model", "ledger"], {"label": "1"}, "label must be a number, got '1'"),
     (["search", "exhaustive"], {"task": 0}, "task must be a string, got 0"),
     (["chance-hit"], {"task": None}, "task must be a string, got None"),
-    (["scaling", "--out-csv", "{tmp}/out"], {"n_values": [4, 5]}, "n_values must be a string, got [4, 5]"),
+    (["scaling", "--out", "{tmp}/out"], {"n_values": [4, 5]}, "n_values must be a string, got [4, 5]"),
     (["cost-model", "table", "--n", "1:3"], {"regimes": ["const:2"]}, "regimes must be a string, got ['const:2']"),
     (["search", "exhaustive", "--task", "{tmp}/t.json"], {"out": 5}, "out must be a string, got 5"),
 ], ids=["bool-float", "string-float", "huge-float", "null-float", "null-task-shape-float", "string-ledger",

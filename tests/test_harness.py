@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,7 @@ from labelsearch import (
     self_training_baseline,
 )
 from labelsearch.core import COORD_GRID, task_to_json
-from labelsearch.harness import fit_fixed_cost, fit_log2_slope, scaling_report_csv, scaling_report_json, split_trusted
+from labelsearch.harness import fit_fixed_cost, fit_log2_slope, split_trusted
 
 
 # --- task generation --------------------------------------------------------
@@ -230,7 +228,6 @@ def test_scaling_experiment_rows_and_determinism():
     # wall-clock fields aside, reruns are identical
     assert [r.best_mu for r in first.rows] == [r.best_mu for r in second.rows]
     assert [r.argmin_words for r in first.rows] == [r.argmin_words for r in second.rows]
-    assert first.workers == 1
 
 
 def test_scaling_mean_eval_time_is_stable():
@@ -238,35 +235,6 @@ def test_scaling_mean_eval_time_is_stable():
     report = scaling_experiment(range(8, 13), template, "centroid", workers=1)
     times = np.array([r.mean_eval_time for r in report.rows])
     assert times.std() / times.mean() < 0.5
-
-
-def test_scaling_report_serializations():
-    template = TaskSpec(m=4, n=8, d=1, separation=2.0, noise_sigma=1.0, seed=40)
-    report = scaling_experiment([6, 7, 8], template, "onenn", workers=1)
-    expected = [
-        exhaustive_search(generate_task(replace(template, n=n, seed=template.seed + n)), "onenn")
-        for n in (6, 7, 8)
-    ]
-    csv_text = scaling_report_csv(report)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "n,evaluations,best_mu,total_time,mean_eval_time"
-    assert len(lines) == 4
-    for line, out in zip(lines[1:], expected):
-        n, evaluations, best_mu, total_time, _ = line.split(",")
-        assert (int(n), int(evaluations), float(best_mu)) == (out.n, out.evaluations, out.best_mu)
-        assert float(total_time) > 0
-    import json
-
-    doc = json.loads(scaling_report_json(report, template, "onenn"))
-    assert set(doc) >= {"spec", "results", "slope", "fixed_cost_s", "per_labeling_s"}
-    fit = fit_fixed_cost([6, 7, 8], [row["total_time"] for row in doc["results"]])
-    assert (doc["fixed_cost_s"], doc["per_labeling_s"]) == fit
-    assert [row["n"] for row in doc["results"]] == [6, 7, 8]
-    for row, out in zip(doc["results"], expected):
-        assert (row["n"], row["evaluations"], row["best_mu"], row["argmin_count"]) == (
-            out.n, out.evaluations, out.best_mu, out.argmin_count)
-        assert row["total_time"] > 0
-    assert doc["spec"]["learner"] == "onenn"
 
 
 @pytest.mark.parametrize("name, call", [
