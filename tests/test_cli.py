@@ -378,7 +378,7 @@ def test_baseline_subcommands(tmp_path):
     assert sdoc["final_mu"] == 0.0
 
 
-def test_scaling_subcommand_writes_its_result_through_main(tmp_path):
+def test_scaling_subcommand_outputs(tmp_path):
     out = tmp_path / "scal.json"
     rc = main(["scaling", "--n-values", "6:9", "--m", "5", "--seed", "2", "--learner", "onenn",
                "--workers", "1", "--out", str(out)])
